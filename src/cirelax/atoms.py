@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
-from .polymatroids import PolymatroidTable
+from .polymatroids import PolymatroidTable, linear_rank_table
 
 MAX_ATOM_VARIABLES = 16
 
@@ -128,18 +128,18 @@ def reduce_antecedents(sigma: CISet, tau: CITriple, n: int) -> CISet:
 def single_atom_polymatroid(atom_mask: int, n: int) -> PolymatroidTable:
     """The table h(a) = 1 if a meets the atom's positive set else 0.
 
-    This is a polymatroid, and the mutual information it assigns to any CI
-    term is 1 when the term covers the atom and 0 otherwise, which makes it
-    a machine-checkable refutation for any uncovered consequent.
+    It is the GF(2) rank table of the atom's variables sharing one fair bit
+    while the others are constant, hence a polymatroid.  The mutual
+    information it assigns to any CI term is 1 when the term covers the
+    atom and 0 otherwise, which makes it a machine-checkable refutation for
+    any uncovered consequent.
     """
     _check_atom_cap(n)
     if atom_mask == 0:
         raise CIError("the empty atom does not exist")
     if atom_mask >> n:
         raise CIError("atom out of range")
-    one, zero = Fraction(1), Fraction(0)
-    values = tuple(one if mask & atom_mask else zero for mask in range(1 << n))
-    return PolymatroidTable(n, values)
+    return linear_rank_table([atom_mask >> v & 1 for v in range(n)])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Every command is deterministic given its inputs and seed, prints a
 line-oriented report with stable field order, and exits 0 for a positive
-verdict, 1 for a negative one, and 2 on any usage or input error.  The
-environment variable ``CIRELAX_SEED`` overrides the default seed.
+verdict, 1 for a negative one, and 2 on any usage or input error or failed
+internal check, so that a crash never reads as a negative verdict.
+``counterexample`` exits 0 when it wrote a counterexample and 1 when it
+found none.  The environment variable ``CIRELAX_SEED`` overrides the
+default seed.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .core import (
     CIError,
     CISet,
     CITriple,
+    InternalCheckError,
     ParseError,
     Universe,
     collect_names,
@@ -228,7 +232,8 @@ def _cmd_counterexample(args) -> int:
         print(f"NOT-IMPLIED witness={universe.render_triple(reduced)}")
         print(f"artifact={args.out} kind=parity")
         return 0
-    print("IMPLIED no-counterexample")
+    # Neither construction applies; that is no proof of implication.
+    print("UNKNOWN no-counterexample")
     return 1
 
 
@@ -237,7 +242,7 @@ def _cmd_validate(args) -> int:
     tau = parse_ci_triple(args.tau, universe)
     try:
         lam = Fraction(args.lam)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad lambda {args.lam!r}") from None
     report = validate_bound(sigma, tau, lam, args.trials, args.seed, universe.n)
     print(report.render())
@@ -350,8 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CIError, OSError) as exc:
+    except (CIError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,8 +5,17 @@ consequent follows from the CI basis of a DAG (via d-separation) and, when
 it does, certifies the bound h(tau) <= h(basis) over every polymatroid.
 ``check_marginal`` decides implication from unconditioned antecedents and
 certifies h(tau) <= |X||Y| * h(antecedents).  Every negative verdict ships
-an executable refutation table with h(antecedents) = 0 and h(tau) = 1,
+an executable refutation table with h(antecedents) = 0 and h(tau) >= 1,
 verified exactly before the certificate is returned.
+
+Every refutation is a tuple of GF(2) linear forms, one per variable, each
+variable being the XOR of some independent fair bits: a single atom gives
+its variables one shared bit, a parity makes its anchor the XOR of fresh
+bits, and a network sets each node to an XOR of its parents.  The shipped
+table holds the exact GF(2) ranks of those forms.  Ranks of linear forms
+of uniform bits are entropies, so the table is a polymatroid by theorem
+(Yeung, *Information Theory and Network Coding*, ch. 15), and verifying it
+only takes the CI terms of the query.
 """
 
 from __future__ import annotations
@@ -33,7 +42,9 @@ from .distributions import (
     parity_distribution,
     random_distribution,
 )
-from .polymatroids import PolymatroidTable, is_polymatroid
+# ``is_polymatroid`` is no longer called here, but bench/tracing.py counts
+# calls through this name, so it stays importable from this module.
+from .polymatroids import PolymatroidTable, _gf2_rank, is_polymatroid, linear_rank_table
 
 FLOAT_TOL = 1e-9
 MAX_CLOSURE_VARIABLES = 5
@@ -108,11 +119,14 @@ class RelaxationCertificate:
 def _verify_refutation(
     table: PolymatroidTable, antecedents: CISet, tau: CITriple, exact_one: bool = True
 ) -> None:
-    """A refutation must be an exact polymatroid with h(sigma)=0 and h(tau)>=1."""
-    if not table.exact:
-        raise InternalCheckError("refutation tables must be exact")
-    if not is_polymatroid(table, 0):
-        raise InternalCheckError("refutation table is not a polymatroid")
+    """A refutation must be a polymatroid with h(sigma)=0 and h(tau)>=1
+    (exactly 1 when ``exact_one``).
+
+    ``table`` must be a ``linear_rank_table``: exact integer GF(2) ranks of
+    linear forms of fair bits, which are entropies and hence a polymatroid
+    (Yeung, ch. 15).  So only the CI terms are checked, four entries each,
+    with no scan of the 2^n table.
+    """
     for sigma in antecedents:
         if table.cmi(sigma) != 0:
             raise InternalCheckError(f"refutation does not annihilate {sigma!r}")
@@ -152,30 +166,27 @@ def parity_refutation(
                         break
                 if not survivor:
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
-                    dist = parity_distribution(n, reduced)
-                    return reduced, dist, entropic_table(dist)
+                    table = linear_rank_table(_parity_forms(n, reduced))
+                    return reduced, parity_distribution(n, reduced), table
                 ext = (ext - pool) & pool  # next submask, increasing numeric order
                 if ext == 0:
                     break
     return None
 
 
-def _gf2_rank(vectors: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                rank += 1
-                break
-    return rank
+def _parity_forms(n: int, tau: CITriple) -> tuple[int, ...]:
+    """The forms of ``parity_distribution(n, tau)``: variable v is fair bit
+    v, except tau's anchor, the XOR of the bits of tau's other variables."""
+    anchor = tau.x.min()
+    forms = [1 << v for v in range(n)]
+    forms[anchor] = (tau.mentioned - VarSet.of(anchor)).bits
+    return tuple(forms)
 
 
-def _distribution_from_forms(n: int, forms: list[int], n_sources: int) -> JointDistribution:
+def _distribution_from_forms(forms: tuple[int, ...]) -> JointDistribution:
+    """The exact binary distribution of the forms over uniform source bits."""
+    n = len(forms)
+    n_sources = max(f.bit_length() for f in forms)
     counts: dict[int, int] = {}
     for word in range(1 << n_sources):
         index = 0
@@ -192,7 +203,7 @@ def _distribution_from_forms(n: int, forms: list[int], n_sources: int) -> JointD
 
 def _network_parity_refutation(
     dag: Dag, tau: CITriple, budget: int = 1 << 17
-) -> JointDistribution | None:
+) -> tuple[int, ...] | None:
     """Search the binary linear-code networks on ``dag`` for one that keeps
     ``tau`` dependent.
 
@@ -200,8 +211,8 @@ def _network_parity_refutation(
     XOR of a subset of its parents, so it factorizes over the DAG and
     satisfies the whole recursive basis exactly.  Nodes outside the
     ancestral closure of tau's variables cannot matter and stay constant.
-    A hit exists for every consequent that d-separation rejects; the first
-    one in enumeration order is returned.
+    A hit exists for every consequent that d-separation rejects; the forms
+    of the first one in enumeration order are returned.
     """
     n = dag.n
     relevant = dag.ancestral_closure(tau.mentioned)
@@ -248,7 +259,7 @@ def _network_parity_refutation(
         rzy = _gf2_rank([forms[v] for v in zs + ys])
         rzxy = _gf2_rank([forms[v] for v in zs + xs + ys])
         if rzx + rzy - rzxy - rz > 0:
-            return _distribution_from_forms(n, forms, n_sources)
+            return tuple(forms)
     return None
 
 
@@ -308,13 +319,13 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
             refutation_distribution=dist,
             refutation_table=table,
         )
-    dist = _network_parity_refutation(dag, tau)
-    if dist is None:
+    forms = _network_parity_refutation(dag, tau)
+    if forms is None:
         raise InternalCheckError(
             f"no refutation found for unseparated {tau!r}; "
             f"the verdict cannot be certified"
         )
-    table = entropic_table(dist)
+    table = linear_rank_table(forms)
     _verify_refutation(table, basis, tau, exact_one=False)
     return RelaxationCertificate(
         implied=False,
@@ -322,7 +333,7 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
         tau=tau,
         witness_triple=tau,
         refutation_kind="parity-network",
-        refutation_distribution=dist,
+        refutation_distribution=_distribution_from_forms(forms),
         refutation_table=table,
     )
 

@@ -159,3 +159,24 @@ def brute_atoms(t: CITriple, n: int) -> set[frozenset[int]]:
 
 def atomset_as_frozensets(atoms) -> set[frozenset[int]]:
     return {frozenset(VarSet(mask)) for mask in atoms}
+
+
+def polymatroid_by_definition(table, tol=0) -> bool:
+    """Independent polymatroid oracle: monotonicity over every subset pair
+    and submodularity over every pair of sets, straight from the
+    definition.  O(4^n), so keep n small."""
+    v = table.values
+    size = 1 << table.n
+    for b in range(size):
+        a = b
+        while True:  # all subsets a of b
+            if v[b] - v[a] < -tol:
+                return False
+            if a == 0:
+                break
+            a = (a - 1) & b
+    for a in range(size):
+        for b in range(size):
+            if v[a] + v[b] - v[a | b] - v[a & b] < -tol:
+                return False
+    return True

@@ -233,6 +233,19 @@ class TestCounterexample:
         )
         assert code == 1 and "no-counterexample" in out
 
+    def test_no_finite_factor_is_unknown_not_implied(self, tmp_path):
+        # The exact LP finds no finite factor here, yet neither the atom nor
+        # the parity construction refutes it.
+        sigma = tmp_path / "g.ci"
+        sigma.write_text("I(a;d|b,c)\nI(a;b)\nI(a,b;c|d)\n")
+        code, out, _ = run(["lambda", "--sigma", str(sigma), "--tau", "I(a;b,d|c)"])
+        assert code == 1 and out == "lambda=unbounded\n"
+        code, out, _ = run(
+            ["counterexample", "--sigma", str(sigma), "--tau", "I(a;b,d|c)",
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 1 and out == "UNKNOWN no-counterexample\n"
+
 
 class TestValidate:
     def test_pass_and_determinism(self, tmp_path):
@@ -289,6 +302,39 @@ class TestValidate:
         monkeypatch.delenv("CIRELAX_SEED")
         _, out_default, _ = run(argv)
         assert "worst_seed=77" in out_env or out_env != out_default
+
+
+class TestErrorsExit2:
+    """Failures exit 2 with one ``error:`` line, never 1 (a negative verdict)."""
+
+    def assert_one_error_line(self, code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_denominator_lambda(self, sec_sigma):
+        self.assert_one_error_line(*run(
+            ["validate", "--sigma", sec_sigma, "--tau", "I(A;C)", "--lambda", "1/0"]
+        ))
+
+    def test_sigma_file_not_utf8(self, tmp_path):
+        sigma = tmp_path / "latin1.ci"
+        sigma.write_bytes("I(\u00e9;b)\n".encode("latin-1"))
+        self.assert_one_error_line(*run(
+            ["validate", "--sigma", str(sigma), "--tau", "I(a;b)", "--lambda", "1"]
+        ))
+
+    def test_internal_check_error(self, chain_dag, monkeypatch):
+        from cirelax import InternalCheckError, cli
+
+        def broken(dag, tau):
+            raise InternalCheckError("refutation does not separate the consequent")
+
+        monkeypatch.setattr(cli, "check_recursive", broken)
+        code, out, err = run(
+            ["bound", "--kind", "recursive", "--dag", chain_dag, "--tau", "I(X1;X3)"]
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "internal check failed" in err
 
 
 class TestEntropyCommand:

@@ -13,9 +13,11 @@ from cirelax import (
     CISet,
     CITriple,
     UNBOUNDED,
+    VarSet,
     check_ai_gamma,
     check_marginal,
     check_recursive,
+    entropic_table,
     optimal_lambda,
     recursive_basis,
 )
@@ -23,6 +25,7 @@ from cirelax import (
 from helpers import (
     all_canonical_triples,
     all_dags,
+    polymatroid_by_definition,
     random_dag,
     random_marginal_set,
     random_triple,
@@ -103,17 +106,33 @@ class TestMarginalVersusLP:
                 assert lam <= cert.lam
 
 
+def assert_certified(cert, dag, tau):
+    """The shipped refutation is a polymatroid by the definitional oracle,
+    zeroes the recursive basis, separates tau, and is the entropy table of
+    the shipped distribution, if any."""
+    table = cert.refutation_table
+    assert polymatroid_by_definition(table)
+    assert all(table.cmi(s) == 0 for s in recursive_basis(dag))
+    assert table.cmi(tau) >= 1
+    if cert.refutation_distribution is not None:
+        assert table == entropic_table(cert.refutation_distribution)
+
+
 class TestNegativeVerdictsAlwaysCertify:
     """Every negative recursive verdict must construct a refutation; the
     fallback network search has to cover whatever the parity search cannot.
-    Exhaustive over all three-variable DAGs and triples, sampled at four."""
+    Exhaustive over all three-variable DAGs and triples, sampled at four,
+    and sampled at six to eight until every refutation kind has shown up."""
 
     def test_exhaustive_n3(self):
+        kinds = set()
         for dag in all_dags(3):
             for tau in all_canonical_triples(3):
                 cert = check_recursive(dag, tau)
                 if not cert.implied:
-                    assert cert.refutation_table is not None
+                    kinds.add(cert.refutation_kind)
+                    assert_certified(cert, dag, tau)
+        assert {"single-atom", "parity"} <= kinds
 
     def test_sampled_n4(self):
         rng = random.Random(229)
@@ -124,5 +143,21 @@ class TestNegativeVerdictsAlwaysCertify:
             cert = check_recursive(dag, tau)
             if not cert.implied:
                 kinds.add(cert.refutation_kind)
-                assert cert.refutation_table is not None
+                assert_certified(cert, dag, tau)
         assert "single-atom" in kinds
+
+    def test_sampled_n6_to_8(self):
+        # Elemental queries on sparse DAGs reach the parity and network
+        # paths often enough; the oracle is O(4^n), so each kind is capped.
+        rng = random.Random(233)
+        wanted = {"single-atom": 3, "parity": 3, "parity-network": 3}
+        while any(wanted.values()):
+            n = rng.randrange(6, 9)
+            dag = random_dag(n, rng, edge_prob=0.4)
+            vs = rng.sample(range(n), 2 + rng.randrange(4))
+            tau = CITriple(VarSet.of(vs[0]), VarSet.of(vs[1]), VarSet.of(*vs[2:]))
+            cert = check_recursive(dag, tau)
+            if cert.implied or not wanted[cert.refutation_kind]:
+                continue
+            wanted[cert.refutation_kind] -= 1
+            assert_certified(cert, dag, tau)

@@ -8,6 +8,7 @@ import pytest
 from cirelax import (
     CIError,
     CISet,
+    InternalCheckError,
     CITriple,
     Dag,
     Universe,
@@ -26,6 +27,8 @@ from cirelax import (
     tightness_family,
     validate_bound,
 )
+from cirelax.implication import _verify_refutation
+from cirelax.polymatroids import linear_rank_table
 
 from helpers import (
     elemental_queries,
@@ -114,6 +117,17 @@ class TestCheckRecursive:
         )
         text = check_recursive(dag, T("I(X1;X3)", dag.universe)).render(dag.universe)
         assert text.splitlines()[0] == "NOT-IMPLIED witness=atom{X1,X2,X3}"
+
+
+class TestVerifyRefutation:
+    def test_rejects_forms_that_leave_an_antecedent(self):
+        # X1 = X2 = one shared bit keeps I(X1;X2|X3) = 1 but also I(X1;X2) = 1
+        dag = collider3()
+        table = linear_rank_table((1, 1, 0))
+        tau = T("I(X1;X2|X3)", dag.universe)
+        assert table.cmi(tau) == 1
+        with pytest.raises(InternalCheckError, match="annihilate"):
+            _verify_refutation(table, recursive_basis(dag), tau)
 
 
 class TestCheckMarginal:

@@ -21,10 +21,12 @@ from cirelax import (
     parity_distribution,
     parse_ci_triple,
     random_distribution,
+    single_atom_polymatroid,
 )
 from cirelax.distributions import parse_distribution, format_distribution
+from cirelax.polymatroids import _gf2_rank, linear_rank_table
 
-from helpers import all_canonical_triples, random_triple
+from helpers import all_canonical_triples, polymatroid_by_definition, random_triple
 
 HALF = Fraction(1, 2)
 
@@ -224,6 +226,71 @@ class TestIsPolymatroid:
     def test_broken_submodularity_fails(self):
         table = PolymatroidTable(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(3)))
         assert not is_polymatroid(table)
+
+
+def random_forms(n: int, rng: random.Random) -> list[int]:
+    """n forms over a random number of source bits, so some are dependent."""
+    sources = rng.randrange(1, n + 1)
+    return [rng.randrange(1 << sources) for _ in range(n)]
+
+
+def lowered(table: PolymatroidTable, mask: int) -> PolymatroidTable:
+    values = list(table.values)
+    values[mask] -= 1
+    return PolymatroidTable(table.n, tuple(values))
+
+
+def rises_below_one(table: PolymatroidTable, mask: int) -> bool:
+    """Some variable adds less than 1 to the set ``mask``; lowering
+    h(mask) by 1 then breaks monotonicity."""
+    v = table.values
+    return any(v[mask] - v[mask ^ (1 << i)] < 1 for i in range(table.n) if mask >> i & 1)
+
+
+class TestPolymatroidRoutes:
+    """``is_polymatroid`` checks the elemental inequalities only; the
+    definition over all subset pairs is the oracle it must agree with."""
+
+    def tables(self):
+        rng = random.Random(241)
+        for n in range(1, 6):
+            for seed in range(3):
+                yield entropic_table(random_distribution(n, None, 9100 + 10 * n + seed)), 1e-9
+            for atom in rng.sample(range(1, 1 << n), min(4, (1 << n) - 1)):
+                yield single_atom_polymatroid(atom, n), 0
+            for _ in range(4):
+                yield linear_rank_table(random_forms(n, rng)), 0
+
+    def test_agree_on_polymatroids(self):
+        for table, tol in self.tables():
+            assert polymatroid_by_definition(table, tol)
+            assert is_polymatroid(table, tol)
+
+    def test_agree_with_one_entry_lowered(self):
+        rng = random.Random(251)
+        rejected = 0
+        for table, tol in self.tables():
+            for mask in rng.sample(range(1, 1 << table.n), min(3, (1 << table.n) - 1)):
+                broken = lowered(table, mask)
+                verdict = is_polymatroid(broken, tol)
+                assert polymatroid_by_definition(broken, tol) == verdict
+                if rises_below_one(table, mask):
+                    assert verdict is False
+                    rejected += 1
+        assert rejected > 100
+
+
+class TestLinearRankTable:
+    def test_matches_rank_per_mask(self):
+        rng = random.Random(257)
+        for n in range(0, 11):
+            for _ in range(3):
+                forms = random_forms(n, rng) if n else []
+                table = linear_rank_table(forms)
+                assert table.n == n and table.exact
+                for mask in range(1 << n):
+                    chosen = [forms[v] for v in range(n) if mask >> v & 1]
+                    assert table.values[mask] == _gf2_rank(chosen)
 
 
 class TestDistributionFiles:
