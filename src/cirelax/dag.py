@@ -120,12 +120,6 @@ def read_dag_file(path: str) -> Dag:
         return parse_dag(fh)
 
 
-def format_dag(dag: Dag) -> str:
-    out = [f"var {nm}" for nm in dag.names]
-    out += [f"edge {dag.names[p]} {dag.names[c]}" for p, c in dag.edges()]
-    return "\n".join(out) + "\n"
-
-
 def recursive_basis(dag: Dag, order: Sequence[int] | None = None) -> CISet:
     """The CI statements encoding the DAG factorization along ``order``.
 

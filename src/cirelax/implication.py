@@ -37,6 +37,7 @@ from .core import (
 from .atoms import implies_positive, single_atom_polymatroid
 from .dag import Dag, d_separated, recursive_basis
 from .distributions import (
+    MAX_MEASURE_VARIABLES,
     JointDistribution,
     entropic_table,
     parity_distribution,
@@ -547,11 +548,18 @@ def validate_bound(
 ) -> ValidationReport:
     """Probe h(tau) <= lam * h(sigma) on random binary distributions.
 
+    Each trial builds one entropy table, so ``n`` is capped at
+    ``MAX_MEASURE_VARIABLES`` before any distribution is drawn.
+
     Per-trial seeds derive deterministically from the root seed, and the
     worst trial's seed is reported so it can be replayed.
     """
     if trials < 1:
         raise CIError("at least one trial is required")
+    if n > MAX_MEASURE_VARIABLES:
+        raise CapExceeded(
+            f"validate_bound supports at most {MAX_MEASURE_VARIABLES} variables"
+        )
     check_fits(tau, n)
     check_fits(sigma, n)
     lamf = float(lam)

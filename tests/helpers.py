@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cirelax import CIError, CISet, CITriple, Dag, VarSet
+from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, VarSet, entropy
 
 
 def all_dags(n: int) -> list[Dag]:
@@ -180,3 +180,9 @@ def polymatroid_by_definition(table, tol=0) -> bool:
             if v[a] + v[b] - v[a | b] - v[a & b] < -tol:
                 return False
     return True
+
+
+def entropic_table_by_definition(d) -> PolymatroidTable:
+    """Independent entropy-table oracle: one pass over the whole joint per
+    subset, through ``entropy``.  O(4^n), so keep n small."""
+    return PolymatroidTable(d.n, tuple(entropy(d, VarSet(m)) for m in range(1 << d.n)))

@@ -323,6 +323,13 @@ class TestErrorsExit2:
             ["validate", "--sigma", str(sigma), "--tau", "I(a;b)", "--lambda", "1"]
         ))
 
+    def test_validate_past_the_measure_cap(self, sec_sigma):
+        # 13 variables: one entropy table per trial would take many seconds
+        self.assert_one_error_line(*run(
+            ["validate", "--sigma", sec_sigma, "--tau",
+             "I(A;C|D,E,F,G,H,I,J,K,L,M,N)", "--lambda", "1", "--trials", "20"]
+        ))
+
     def test_internal_check_error(self, chain_dag, monkeypatch):
         from cirelax import InternalCheckError, cli
 

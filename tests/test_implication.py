@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cirelax import (
+    CapExceeded,
     CIError,
     CISet,
     InternalCheckError,
@@ -27,6 +28,7 @@ from cirelax import (
     tightness_family,
     validate_bound,
 )
+from cirelax.core import collect_names
 from cirelax.implication import _verify_refutation
 from cirelax.polymatroids import linear_rank_table
 
@@ -327,6 +329,42 @@ class TestValidateBound:
         sigma, tau = tightness_family(3)
         with pytest.raises(CIError):
             validate_bound(sigma, tau, Fraction(1), 0, 1, 3)
+
+    def test_caps_variables_before_drawing(self, monkeypatch):
+        from cirelax import implication
+
+        def no_draw(*args):
+            raise AssertionError("drew a distribution past the cap")
+
+        monkeypatch.setattr(implication, "random_distribution", no_draw)
+        sigma, tau = tightness_family(13)
+        with pytest.raises(CapExceeded):
+            validate_bound(sigma, tau, Fraction(1), 20, 1, 13)
+
+    def test_runs_at_the_cap(self):
+        sigma, tau = tightness_family(12)
+        assert validate_bound(sigma, tau, Fraction(1), 1, 1, 12).passed
+
+    # Reports pinned from tables summed per subset straight from the joint.
+    # Summing out one variable at a time adds the same floats in another
+    # order, which must move no verdict and no worst seed.
+    PINNED = (
+        (("I(A;B)", "I(A;C|B)"), "I(A;C)", Fraction(1), 5,
+         True, 5000017, -0.0049893479040759026),
+        (("I(A;B)", "I(C;D)"), "I(A,C;B,D)", Fraction(1, 2), 11,
+         False, 11000047, 0.7327598951585202),
+        (("I(A;B)", "I(A;C)", "I(B;C)", "I(D;E,F,G)"), "I(A,B;C)", Fraction(1), 3,
+         True, 3000017, -0.011696819213288467),
+    )
+
+    @pytest.mark.parametrize("case", PINNED, ids=("n3-pass", "n4-fail", "n7-pass"))
+    def test_pinned_reports(self, case):
+        antecedents, consequent, lam, seed, passed, worst_seed, violation = case
+        u = Universe(tuple(collect_names(antecedents + (consequent,))))
+        sigma = CISet(tuple(T(text, u) for text in antecedents))
+        report = validate_bound(sigma, T(consequent, u), lam, 20, seed, u.n)
+        assert (report.passed, report.worst_seed) == (passed, worst_seed)
+        assert abs(report.max_violation - violation) <= 1e-12
 
 
 class TestExactFromApproximate:

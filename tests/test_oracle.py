@@ -1,11 +1,13 @@
 """Entropy computations, parity constructions, and the atom measure."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from cirelax import (
+    CapExceeded,
     CIError,
     CITriple,
     JointDistribution,
@@ -26,7 +28,12 @@ from cirelax import (
 from cirelax.distributions import parse_distribution, format_distribution
 from cirelax.polymatroids import _gf2_rank, linear_rank_table
 
-from helpers import all_canonical_triples, polymatroid_by_definition, random_triple
+from helpers import (
+    all_canonical_triples,
+    entropic_table_by_definition,
+    polymatroid_by_definition,
+    random_triple,
+)
 
 HALF = Fraction(1, 2)
 
@@ -86,6 +93,66 @@ class TestEntropicTable:
             n = 2 + seed % 4
             table = entropic_table(random_distribution(n, None, seed))
             assert is_polymatroid(table, tol=1e-9)
+
+
+class TestEntropicTableBySummingOut:
+    """The summing-out table against one pass over the joint per subset."""
+
+    def assert_close(self, d):
+        got = entropic_table(d).values
+        want = entropic_table_by_definition(d).values
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+    def test_random_float_tables(self):
+        for n in range(0, 9):
+            for seed in range(3):
+                self.assert_close(random_distribution(n, None, 4400 + 10 * n + seed))
+
+    def test_non_binary_sizes(self):
+        for sizes in ((2, 3, 4, 2), (2, 1, 3, 2), (1,), (3, 1, 1), (1, 4, 2, 1, 3)):
+            self.assert_close(random_distribution(len(sizes), sizes, 4500 + len(sizes)))
+
+    def test_float_zero_cells(self):
+        tau = CITriple(VarSet.of(0), VarSet.of(3), VarSet.of(1, 2))
+        d = parity_distribution(5, tau).as_float()
+        assert 0.0 in d.probs
+        self.assert_close(d)
+        assert entropic_table(d).cmi(tau) == 1.0
+
+    def test_exact_tables_identical(self):
+        rng = random.Random(47)
+        for n in range(1, 9):
+            cases = [product_bits(n)]
+            cases += [parity_distribution(n, random_triple(n, rng)) for _ in range(3) if n > 1]
+            for d in cases:
+                got = entropic_table(d).values
+                want = entropic_table_by_definition(d).values
+                assert got == want
+                assert all(type(a) is type(b) is Fraction for a, b in zip(got, want))
+
+    def test_non_dyadic_marginal_raises(self):
+        # every cell is a power of two, but H(X0) needs p = 5/8 and 3/8
+        d = JointDistribution(
+            (2, 2), (HALF, Fraction(1, 8), Fraction(1, 8), Fraction(1, 4))
+        )
+        with pytest.raises(CIError, match="irrational"):
+            entropic_table(d)
+        with pytest.raises(CIError, match="irrational"):
+            entropic_table_by_definition(d)
+
+    def test_capped(self):
+        with pytest.raises(CapExceeded):
+            entropic_table(random_distribution(13, None, 1))
+
+    def test_extra_memory_stays_linear(self):
+        # Keeping every marginal alive would hold 3**12 cells, over 13 MB.
+        tracemalloc.start()
+        try:
+            entropic_table(random_distribution(12, None, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestConditionalMutualInformation:
@@ -185,6 +252,15 @@ class TestAtomMeasure:
             for mask in range(1, 1 << n):
                 total = sum(m.mass[s] for s in range(1, 1 << n) if s & mask)
                 assert abs(total - entropy(d, VarSet(mask))) <= 1e-9
+
+    def test_reconstruction_identity_at_the_cap(self):
+        rng = random.Random(41)
+        n = 12
+        d = random_distribution(n, None, 4700)
+        m = atom_measure(d)
+        for mask in [(1 << n) - 1] + rng.sample(range(1, 1 << n), 40):
+            total = sum(m.mass[s] for s in range(1, 1 << n) if s & mask)
+            assert abs(total - entropy(d, VarSet(mask))) <= 1e-9
 
     def test_cmi_equals_mass_over_atoms(self):
         rng = random.Random(43)
