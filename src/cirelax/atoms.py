@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
-from .polymatroids import PolymatroidTable, linear_rank_table
+from .polymatroids import MAX_TABLE_VARIABLES, PolymatroidTable, linear_rank_table
 
-MAX_ATOM_VARIABLES = 16
+MAX_ATOM_VARIABLES = MAX_TABLE_VARIABLES
 
 
 def _check_atom_cap(n: int) -> None:

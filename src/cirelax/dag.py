@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (
@@ -146,11 +146,23 @@ def recursive_basis(dag: Dag, order: Sequence[int] | None = None) -> CISet:
 
 
 def d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
-    """Whether ``z`` blocks every path between ``x`` and ``y`` in ``dag``.
+    """Whether ``z`` blocks every trail between ``x`` and ``y`` in ``dag``."""
+    return active_trail(dag, x, y, z) is None
 
-    Decided on the moralized ancestral graph: restrict to the ancestors of
-    x, y, z, marry co-parents, drop directions and the z nodes, and test
-    plain graph separation.  Symmetric in x and y by construction.
+
+def active_trail(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> tuple[int, ...] | None:
+    """A shortest trail from ``x`` to ``y`` that ``z`` leaves active, as its
+    nodes in order, or ``None`` when ``z`` d-separates ``x`` from ``y``.
+
+    Bayes-Ball (Shachter 1998; Koller & Friedman, Alg. 3.1): a breadth-first
+    search over (node, direction) states, where a node is entered "up" from
+    a child (or as a start in ``x``) or "down" from a parent.  A node outside
+    ``z`` passes the ball on to its children, and to its parents when
+    entered up; a node entered down turns back up to its parents only when
+    it is an ancestor of ``z`` (an active collider).  Each state is reached
+    first along a shortest walk, and a shortest walk to ``y`` repeats no
+    node, so the result is a simple trail whose non-colliders avoid ``z``
+    and whose colliders lie in An(z).
     """
     check_fits(x | y | z, dag.n)
     if not x or not y:
@@ -158,28 +170,29 @@ def d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
     if not (x.isdisjoint(y) and x.isdisjoint(z) and y.isdisjoint(z)):
         raise CIError("x, y, z must be pairwise disjoint")
 
-    keep = dag.ancestral_closure(x | y | z)
-    adj: dict[int, set[int]] = {v: set() for v in keep}
-    for v in keep:
-        ps = [p for p in dag.parents[v] if p in keep]
+    children: list[list[int]] = [[] for _ in range(dag.n)]
+    for c, ps in enumerate(dag.parents):
         for p in ps:
-            adj[p].add(v)
-            adj[v].add(p)
-        for p1, p2 in combinations(ps, 2):
-            adj[p1].add(p2)
-            adj[p2].add(p1)
-
-    zset = set(z)
-    visited = set(x)
-    stack = list(x)
-    targets = set(y)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in visited or w in zset:
-                continue
-            if w in targets:
-                return False
-            visited.add(w)
-            stack.append(w)
-    return True
+            children[p].append(c)
+    ancestors = dag.ancestral_closure(z)
+    # state 2v: v entered up, 2v + 1: v entered down; came_from[state] = previous state
+    came_from = {2 * v: -1 for v in x}
+    queue = deque(came_from)
+    while queue:
+        state = queue.popleft()
+        v = state >> 1
+        if v in y:
+            trail = []
+            while state >= 0:
+                trail.append(state >> 1)
+                state = came_from[state]
+            return tuple(reversed(trail))
+        moves = [] if v in z else [2 * c + 1 for c in children[v]]
+        # on to the parents: entered down only at an active collider
+        if (v in ancestors) if state & 1 else (v not in z):
+            moves += [2 * p for p in dag.parents[v]]
+        for nxt in moves:
+            if nxt not in came_from:
+                came_from[nxt] = state
+                queue.append(nxt)
+    return None

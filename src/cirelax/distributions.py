@@ -88,22 +88,6 @@ class JointDistribution:
             vals.append(index // stride % size)
         return tuple(vals)
 
-    def marginal(self, alpha: VarSet) -> dict[tuple[int, ...], object]:
-        """Projection of the table onto the variables in ``alpha``."""
-        check_fits(alpha, self.n)
-        idxs = list(alpha)
-        strides = self.strides()
-        acc: dict[tuple[int, ...], object] = {}
-        for index, p in enumerate(self.probs):
-            if p == 0:
-                continue
-            key = tuple(index // strides[i] % self.domain_sizes[i] for i in idxs)
-            if key in acc:
-                acc[key] += p
-            else:
-                acc[key] = p
-        return acc
-
     def as_float(self) -> "JointDistribution":
         if not self.exact:
             return self
@@ -139,11 +123,19 @@ def entropy(d: JointDistribution, alpha: VarSet):
     """H of the marginal on ``alpha``, in bits; H(empty) = 0.
 
     Exact tables yield an exact ``Fraction`` (every marginal probability
-    must be a power of two); float tables yield a float.
+    must be a power of two); float tables yield a float.  The marginal is
+    made by summing out each variable outside ``alpha``, highest first, so
+    the variables below it keep their row-major positions.
     """
+    check_fits(alpha, d.n)
     if not alpha:
         return Fraction(0) if d.exact else 0.0
-    return _entropy_of(d.marginal(alpha).values(), d.exact)
+    sizes = d.domain_sizes
+    cells = list(d.probs)
+    for v in reversed(range(d.n)):
+        if v not in alpha:
+            cells = _sum_out(cells, _product(sizes[:v]), sizes[v])
+    return _entropy_of(cells, d.exact)
 
 
 def _sum_out(parent: list, outer: int, size: int) -> list:

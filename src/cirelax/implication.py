@@ -5,17 +5,19 @@ consequent follows from the CI basis of a DAG (via d-separation) and, when
 it does, certifies the bound h(tau) <= h(basis) over every polymatroid.
 ``check_marginal`` decides implication from unconditioned antecedents and
 certifies h(tau) <= |X||Y| * h(antecedents).  Every negative verdict ships
-an executable refutation table with h(antecedents) = 0 and h(tau) >= 1,
+an executable refutation table with h(antecedents) = 0 and h(tau) = 1,
 verified exactly before the certificate is returned.
 
 Every refutation is a tuple of GF(2) linear forms, one per variable, each
-variable being the XOR of some independent fair bits: a single atom gives
-its variables one shared bit, a parity makes its anchor the XOR of fresh
-bits, and a network sets each node to an XOR of its parents.  The shipped
-table holds the exact GF(2) ranks of those forms.  Ranks of linear forms
-of uniform bits are entropies, so the table is a polymatroid by theorem
-(Yeung, *Information Theory and Network Coding*, ch. 15), and verifying it
-only takes the CI terms of the query.
+variable being the XOR of some independent fair bits.  A marginal query is
+refuted by a parity, which makes its anchor the XOR of fresh bits.  A
+d-connected recursive query is refuted along one active trail: each trail
+node is a fresh bit or the XOR of its trail parents, and each collider is
+copied down to the conditioning set (Geiger, Verma & Pearl 1990).  The
+shipped table holds the exact GF(2) ranks of the forms.  Ranks of linear
+forms of uniform bits are entropies, so the table is a polymatroid by
+theorem (Yeung, *Information Theory and Network Coding*, ch. 15), and
+verifying it only takes the CI terms of the query.
 """
 
 from __future__ import annotations
@@ -34,18 +36,18 @@ from .core import (
     check_fits,
     elemental_decompose,
 )
-from .atoms import implies_positive, single_atom_polymatroid
-from .dag import Dag, d_separated, recursive_basis
-from .distributions import (
-    MAX_MEASURE_VARIABLES,
-    JointDistribution,
-    entropic_table,
-    parity_distribution,
-    random_distribution,
-)
-# ``is_polymatroid`` is no longer called here, but bench/tracing.py counts
-# calls through this name, so it stays importable from this module.
-from .polymatroids import PolymatroidTable, _gf2_rank, is_polymatroid, linear_rank_table
+from .dag import Dag, active_trail, recursive_basis
+from .distributions import MAX_MEASURE_VARIABLES, JointDistribution, parity_distribution
+from .polymatroids import PolymatroidTable, linear_rank_table
+
+# bench/tracing.py times the layers by swapping these names in this module,
+# as it does ``parity_refutation`` below, so they stay attributes of it even
+# where, as for ``implies_positive`` and ``is_polymatroid``, nothing here
+# calls them.
+from .atoms import implies_positive
+from .dag import d_separated
+from .distributions import entropic_table, random_distribution
+from .polymatroids import is_polymatroid
 
 FLOAT_TOL = 1e-9
 MAX_CLOSURE_VARIABLES = 5
@@ -59,7 +61,7 @@ class RelaxationCertificate:
     Positive verdicts carry the approximation factor ``lam`` and the
     evidence that justifies it; negative verdicts carry a witness plus an
     exact refutation table (and, for parity refutations, the distribution
-    it came from).
+    it came from; for trail refutations, the trail).
     """
 
     implied: bool
@@ -69,10 +71,9 @@ class RelaxationCertificate:
     source: str = ""
     covers: tuple[tuple[CITriple, tuple[CITriple, ...]], ...] = ()
     lambda_hint: Fraction | None = None
-    witness_atom: int | None = None
     witness_triple: CITriple | None = None
-    refutation_kind: str = ""  # "single-atom" | "parity"
-    refutation_atom: int | None = None
+    refutation_kind: str = ""  # "trail" | "parity"
+    refutation_trail: tuple[int, ...] = ()
     refutation_parity: CITriple | None = None
     refutation_table: PolymatroidTable | None = field(default=None, compare=False)
     refutation_distribution: JointDistribution | None = field(default=None, compare=False)
@@ -88,11 +89,7 @@ class RelaxationCertificate:
         if self.implied:
             lines.append(f"IMPLIED lambda={self.lam}")
         else:
-            if self.witness_atom is not None:
-                witness = "atom" + universe.render_atom(self.witness_atom)
-            else:
-                witness = universe.render_triple(self.witness_triple)
-            lines.append(f"NOT-IMPLIED witness={witness}")
+            lines.append(f"NOT-IMPLIED witness={universe.render_triple(self.witness_triple)}")
         lines.append(f"kind={self.kind}")
         lines.append(f"tau={universe.render_triple(self.tau)}")
         if self.implied:
@@ -103,25 +100,16 @@ class RelaxationCertificate:
             for elemental, chain in self.covers:
                 via = ", ".join(universe.render_triple(s) for s in chain)
                 lines.append(f"cover {universe.render_triple(elemental)} <- {via}")
+        elif self.refutation_kind == "trail":
+            trail = ",".join(universe.names[v] for v in self.refutation_trail)
+            lines.append(f"refutation=trail {trail}")
         else:
-            if self.refutation_kind == "single-atom":
-                lines.append(
-                    f"refutation=single-atom atom{universe.render_atom(self.refutation_atom)}"
-                )
-            elif self.refutation_kind == "parity":
-                lines.append(
-                    f"refutation=parity {universe.render_triple(self.refutation_parity)}"
-                )
-            else:
-                lines.append("refutation=parity-network")
+            lines.append(f"refutation=parity {universe.render_triple(self.refutation_parity)}")
         return "\n".join(lines)
 
 
-def _verify_refutation(
-    table: PolymatroidTable, antecedents: CISet, tau: CITriple, exact_one: bool = True
-) -> None:
-    """A refutation must be a polymatroid with h(sigma)=0 and h(tau)>=1
-    (exactly 1 when ``exact_one``).
+def _verify_refutation(table: PolymatroidTable, antecedents: CISet, tau: CITriple) -> None:
+    """A refutation must be a polymatroid with h(sigma)=0 and h(tau)=1.
 
     ``table`` must be a ``linear_rank_table``: exact integer GF(2) ranks of
     linear forms of fair bits, which are entropies and hence a polymatroid
@@ -131,8 +119,7 @@ def _verify_refutation(
     for sigma in antecedents:
         if table.cmi(sigma) != 0:
             raise InternalCheckError(f"refutation does not annihilate {sigma!r}")
-    value = table.cmi(tau)
-    if (exact_one and value != 1) or value < 1:
+    if table.cmi(tau) != 1:
         raise InternalCheckError("refutation does not separate the consequent")
 
 
@@ -184,107 +171,92 @@ def _parity_forms(n: int, tau: CITriple) -> tuple[int, ...]:
     return tuple(forms)
 
 
-def _distribution_from_forms(forms: tuple[int, ...]) -> JointDistribution:
-    """The exact binary distribution of the forms over uniform source bits."""
-    n = len(forms)
-    n_sources = max(f.bit_length() for f in forms)
-    counts: dict[int, int] = {}
-    for word in range(1 << n_sources):
-        index = 0
-        for v in range(n):
-            index = index * 2 + ((forms[v] & word).bit_count() & 1)
-        counts[index] = counts.get(index, 0) + 1
-    total = 1 << n_sources
-    zero = Fraction(0)
-    probs = [zero] * (1 << n)
-    for index, c in counts.items():
-        probs[index] = Fraction(c, total)
-    return JointDistribution((2,) * n, tuple(probs))
+def _trail_refutation(dag: Dag, tau: CITriple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An active trail for a d-connected ``tau``, and GF(2) forms along it
+    with h(tau) = 1 and h(basis) = 0 (Geiger, Verma & Pearl 1990).
 
+    Each trail node with no trail parent is a fresh fair bit, and every
+    other trail node is the XOR of its trail parents, so a collider is the
+    XOR of both trail neighbours.  Each collider outside z is copied down a
+    shortest directed path to z, and every other node is 0.  Every node is
+    then a fresh bit XOR some of its parents, so the forms factorize over
+    the DAG and zero its whole recursive basis.
 
-def _network_parity_refutation(
-    dag: Dag, tau: CITriple, budget: int = 1 << 17
-) -> tuple[int, ...] | None:
-    """Search the binary linear-code networks on ``dag`` for one that keeps
-    ``tau`` dependent.
-
-    Every candidate makes each node a fresh fair bit, a constant, or the
-    XOR of a subset of its parents, so it factorizes over the DAG and
-    satisfies the whole recursive basis exactly.  Nodes outside the
-    ancestral closure of tau's variables cannot matter and stay constant.
-    A hit exists for every consequent that d-separation rejects; the forms
-    of the first one in enumeration order are returned.
+    The trail starts as a shortest active one.  A collider's path to z may
+    run into the trail, x or y before it reaches z; the path is then
+    spliced into the trail, which stays active and has fewer colliders, and
+    the forms are rebuilt.  Once no path does, the trail's ends carry its
+    first and last fresh bits, and the z nodes hold sums of the colliders'
+    forms that add up to the XOR of the two, so h(tau) is exactly 1.
     """
-    n = dag.n
-    relevant = dag.ancestral_closure(tau.mentioned)
-    choices: list[list[int | None]] = []
-    for v in range(n):
-        if v not in relevant:
-            choices.append([0])
-            continue
-        pool = dag.parents[v].bits
-        subs = []
-        s = 0
-        while True:
-            subs.append(s)
-            s = (s - pool) & pool
-            if s == 0:
+    x, y, z = tau.x, tau.y, tau.z
+    parents = dag.parents
+    # toward[v]: a child of v on a shortest directed path from v to z
+    toward: dict[int, int] = {}
+    frontier = list(z)
+    while frontier:
+        step = []
+        for child in frontier:
+            for p in parents[child]:
+                if p not in z and p not in toward:
+                    toward[p] = child
+                    step.append(p)
+        frontier = step
+
+    trail = active_trail(dag, x, y, z)
+    spliced = True
+    while spliced:
+        spliced = False
+        position = {v: i for i, v in enumerate(trail)}
+        xored = [0] * dag.n  # xored[v]: mask of the parents whose forms v XORs
+        for i, v in enumerate(trail):
+            for w in trail[max(i - 1, 0):i] + trail[i + 1:i + 2]:
+                if w in parents[v]:
+                    xored[v] |= 1 << w
+        sources = [v for v in trail if not xored[v]]
+        colliders = [i for i, v in enumerate(trail) if xored[v].bit_count() == 2]
+        for i in colliders:
+            path = [trail[i]]
+            while path[-1] not in z:
+                v = toward[path[-1]]
+                if v not in z and (v in position or v in x or v in y):
+                    q = position.get(v)
+                    inner = tuple(path[1:])
+                    if v in y or (q is not None and q > i):
+                        # x ... -> collider -> inner -> v ... y
+                        tail = trail[q:] if q is not None else (v,)
+                        trail = trail[:i + 1] + inner + tail
+                    else:
+                        # x ... v <- inner <- collider <- ... y
+                        head = trail[:q + 1] if q is not None else (v,)
+                        trail = head + inner[::-1] + trail[i:]
+                    spliced = True
+                    break
+                xored[v] |= 1 << path[-1]
+                path.append(v)
+            if spliced:
                 break
-        choices.append([None] + subs)  # None = fresh source bit
 
-    order = dag.topological_order()
-    xs, ys, zs = list(tau.x), list(tau.y), list(tau.z)
-    tried = 0
-    from itertools import product
-
-    for assignment in product(*choices):
-        tried += 1
-        if tried > budget:
-            return None
-        forms = [0] * n
-        n_sources = 0
-        for v in order:
-            rule = assignment[v]
-            if rule is None:
-                forms[v] = 1 << n_sources
-                n_sources += 1
-            else:
-                acc = 0
-                for p in VarSet(rule):
-                    acc ^= forms[p]
-                forms[v] = acc
-        if n_sources == 0:
-            continue
-        rz = _gf2_rank([forms[v] for v in zs])
-        rzx = _gf2_rank([forms[v] for v in zs + xs])
-        rzy = _gf2_rank([forms[v] for v in zs + ys])
-        rzxy = _gf2_rank([forms[v] for v in zs + xs + ys])
-        if rzx + rzy - rzxy - rz > 0:
-            return tuple(forms)
-    return None
+    forms = [0] * dag.n
+    for k, v in enumerate(sources):
+        forms[v] = 1 << k
+    for v in dag.topological_order():
+        for p in VarSet(xored[v]):
+            forms[v] ^= forms[p]
+    return trail, tuple(forms)
 
 
 def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
     """Decide whether the DAG's CI basis implies ``tau`` and certify it.
 
     The verdict is d-separation.  A separated consequent satisfies
-    h(tau) <= h(basis) for every polymatroid (factor 1); separation also
-    forces the atoms of ``tau`` under the atoms of the basis, which is
-    asserted on every call.  The converse containment does not hold (a
-    collider conditioned on its child is the classic gap), so implication
-    over positive measures alone is not evidence of separation.
+    h(tau) <= h(basis) for every polymatroid (factor 1).  A d-connected one
+    is refuted along an active trail by ``_trail_refutation``; such a
+    refutation exists for every d-connected query, which is the
+    completeness of d-separation.
     """
-    n = dag.n
-    check_fits(tau, n)
-    basis = recursive_basis(dag)
-    separated = d_separated(dag, tau.x, tau.y, tau.z)
-    positive = implies_positive(basis, tau, n)
-    if separated and not positive.implied:
-        raise InternalCheckError(
-            f"d-separation accepted {tau!r} but its atoms are not covered; "
-            f"one of the two implementations is wrong"
-        )
-    if separated:
+    check_fits(tau, dag.n)
+    if d_separated(dag, tau.x, tau.y, tau.z):
         return RelaxationCertificate(
             implied=True,
             kind="recursive",
@@ -292,49 +264,16 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
             lam=Fraction(1),
             source="d-separation",
         )
-    if not positive.implied:
-        atom = positive.witness
-        table = single_atom_polymatroid(atom, n)
-        _verify_refutation(table, basis, tau)
-        return RelaxationCertificate(
-            implied=False,
-            kind="recursive",
-            tau=tau,
-            witness_atom=atom,
-            refutation_kind="single-atom",
-            refutation_atom=atom,
-            refutation_table=table,
-        )
-    # Atoms covered but not separated: only a distribution can refute.
-    found = parity_refutation(basis, tau, n)
-    if found is not None:
-        reduced, dist, table = found
-        _verify_refutation(table, basis, tau)
-        return RelaxationCertificate(
-            implied=False,
-            kind="recursive",
-            tau=tau,
-            witness_triple=reduced,
-            refutation_kind="parity",
-            refutation_parity=reduced,
-            refutation_distribution=dist,
-            refutation_table=table,
-        )
-    forms = _network_parity_refutation(dag, tau)
-    if forms is None:
-        raise InternalCheckError(
-            f"no refutation found for unseparated {tau!r}; "
-            f"the verdict cannot be certified"
-        )
+    trail, forms = _trail_refutation(dag, tau)
     table = linear_rank_table(forms)
-    _verify_refutation(table, basis, tau, exact_one=False)
+    _verify_refutation(table, recursive_basis(dag), tau)
     return RelaxationCertificate(
         implied=False,
         kind="recursive",
         tau=tau,
         witness_triple=tau,
-        refutation_kind="parity-network",
-        refutation_distribution=_distribution_from_forms(forms),
+        refutation_kind="trail",
+        refutation_trail=trail,
         refutation_table=table,
     )
 

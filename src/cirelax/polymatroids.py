@@ -13,7 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import CIError, CISet, CITriple, VarSet, check_fits
+from .core import CapExceeded, CIError, CISet, CITriple, VarSet, check_fits
+
+# The most variables of a rank table or an atom set, whose sizes grow as 2**n.
+MAX_TABLE_VARIABLES = 16
 
 
 @dataclass(frozen=True)
@@ -61,22 +64,6 @@ def cond_mutual_information(table: PolymatroidTable, t: CITriple):
     return table.cmi(t)
 
 
-def _gf2_rank(vectors) -> int:
-    """Rank over GF(2) of bit vectors given as ints."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                rank += 1
-                break
-    return rank
-
-
 def linear_rank_table(forms: Sequence[int]) -> PolymatroidTable:
     """The table h(A) = GF(2) rank of ``{forms[v] : v in A}``.
 
@@ -86,9 +73,13 @@ def linear_rank_table(forms: Sequence[int]) -> PolymatroidTable:
     is entropic and hence a polymatroid (Yeung, *Information Theory and
     Network Coding*, ch. 15, on linear functions of uniform sources).
     Each mask reduces its last variable's form against the echelon basis
-    of the mask without it: at most n integer steps per entry.
+    of the mask without it: at most n integer steps per entry.  More than
+    ``MAX_TABLE_VARIABLES`` forms raise ``CapExceeded`` before any entry is
+    built.
     """
     n = len(forms)
+    if n > MAX_TABLE_VARIABLES:
+        raise CapExceeded(f"rank tables support at most {MAX_TABLE_VARIABLES} variables")
     levels = [Fraction(r) for r in range(n + 1)]
     ranks = [0]
     # bases[mask]: an echelon basis of the mask's forms, leading bits descending

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, VarSet, entropy
+from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, VarSet
 
 
 def all_dags(n: int) -> list[Dag]:
@@ -182,7 +184,48 @@ def polymatroid_by_definition(table, tol=0) -> bool:
     return True
 
 
+def entropy_by_definition(d, alpha: VarSet):
+    """Independent entropy oracle: one pass over the joint, keyed by the
+    outcome's values on ``alpha``.  Exact tables need dyadic marginals and
+    raise ``CIError`` otherwise, as ``entropy`` does."""
+    strides = [1] * d.n
+    for i in range(d.n - 2, -1, -1):
+        strides[i] = strides[i + 1] * d.domain_sizes[i + 1]
+    acc: dict[tuple[int, ...], object] = {}
+    for index, p in enumerate(d.probs):
+        if p:
+            key = tuple(index // strides[i] % d.domain_sizes[i] for i in alpha)
+            acc[key] = acc.get(key, 0) + p
+    if not d.exact:
+        return -sum(p * math.log2(p) for p in acc.values()) if alpha else 0.0
+    total = Fraction(0)
+    for p in acc.values():
+        p = Fraction(p)
+        if alpha and (p.numerator != 1 or p.denominator & (p.denominator - 1)):
+            raise CIError(f"entropy term for probability {p} is irrational")
+        total += p * (p.denominator.bit_length() - 1)
+    return total
+
+
 def entropic_table_by_definition(d) -> PolymatroidTable:
     """Independent entropy-table oracle: one pass over the whole joint per
-    subset, through ``entropy``.  O(4^n), so keep n small."""
-    return PolymatroidTable(d.n, tuple(entropy(d, VarSet(m)) for m in range(1 << d.n)))
+    subset.  O(4^n), so keep n small."""
+    return PolymatroidTable(
+        d.n, tuple(entropy_by_definition(d, VarSet(m)) for m in range(1 << d.n))
+    )
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of bit vectors given as ints, by plain elimination."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top in pivots:
+                v ^= pivots[top]
+            else:
+                pivots[top] = v
+                rank += 1
+                break
+    return rank

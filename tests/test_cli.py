@@ -104,6 +104,19 @@ class TestBound:
         assert code == 0
         assert out.splitlines()[0] == "IMPLIED lambda=1"
 
+    def test_recursive_not_implied_writes_polymatroid(self, collider_dag, tmp_path):
+        artifact = tmp_path / "refutation.tab"
+        code, out, _ = run(
+            ["bound", "--kind", "recursive", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
+             "--artifact", str(artifact)]
+        )
+        assert code == 1
+        assert out.splitlines()[-2:] == ["refutation=trail X1,X3,X2", f"artifact={artifact}"]
+        assert artifact.read_text().startswith("polymatroid vars X1 X2 X3\n")
+        for term, value in (("I(X1;X2|X3)", "1.0"), ("I(X2;X1)", "0.0")):
+            code, out, _ = run(["entropy", "--table", str(artifact), "--term", term])
+            assert code == 0 and out.strip() == value
+
     def test_marginal_not_implied_writes_artifact(self, tmp_path):
         sigma = tmp_path / "m.ci"
         sigma.write_text("I(a;b)\n")

@@ -17,7 +17,6 @@ from cirelax import (
     check_ai_gamma,
     check_marginal,
     check_recursive,
-    entropic_table,
     optimal_lambda,
     recursive_basis,
 )
@@ -107,57 +106,63 @@ class TestMarginalVersusLP:
 
 
 def assert_certified(cert, dag, tau):
-    """The shipped refutation is a polymatroid by the definitional oracle,
-    zeroes the recursive basis, separates tau, and is the entropy table of
-    the shipped distribution, if any."""
+    """The shipped refutation is a trail refutation with no distribution, a
+    polymatroid by the definitional oracle, zeroes the recursive basis and
+    gives tau exactly 1."""
+    assert cert.refutation_kind == "trail" and cert.refutation_distribution is None
     table = cert.refutation_table
     assert polymatroid_by_definition(table)
     assert all(table.cmi(s) == 0 for s in recursive_basis(dag))
-    assert table.cmi(tau) >= 1
-    if cert.refutation_distribution is not None:
-        assert table == entropic_table(cert.refutation_distribution)
+    assert table.cmi(tau) == 1
 
 
 class TestNegativeVerdictsAlwaysCertify:
-    """Every negative recursive verdict must construct a refutation; the
-    fallback network search has to cover whatever the parity search cannot.
+    """Every negative recursive verdict must construct a trail refutation.
     Exhaustive over all three-variable DAGs and triples, sampled at four,
-    and sampled at six to eight until every refutation kind has shown up."""
+    and sampled at six to eight on sparse DAGs, where trails are long and
+    often pass colliders."""
 
     def test_exhaustive_n3(self):
-        kinds = set()
+        negatives = 0
         for dag in all_dags(3):
             for tau in all_canonical_triples(3):
                 cert = check_recursive(dag, tau)
                 if not cert.implied:
-                    kinds.add(cert.refutation_kind)
+                    negatives += 1
                     assert_certified(cert, dag, tau)
-        assert {"single-atom", "parity"} <= kinds
+        assert negatives > 100
 
     def test_sampled_n4(self):
         rng = random.Random(229)
-        kinds = set()
+        negatives = 0
         for trial in range(120):
             dag = random_dag(4, rng)
             tau = random_triple(4, rng)
             cert = check_recursive(dag, tau)
             if not cert.implied:
-                kinds.add(cert.refutation_kind)
+                negatives += 1
                 assert_certified(cert, dag, tau)
-        assert "single-atom" in kinds
+        assert negatives > 30
 
     def test_sampled_n6_to_8(self):
-        # Elemental queries on sparse DAGs reach the parity and network
-        # paths often enough; the oracle is O(4^n), so each kind is capped.
+        # The oracle is O(4^n), so only a few certificates are checked;
+        # half of them must pass a collider.
         rng = random.Random(233)
-        wanted = {"single-atom": 3, "parity": 3, "parity-network": 3}
+        wanted = {"collider": 5, "no collider": 5}
         while any(wanted.values()):
             n = rng.randrange(6, 9)
             dag = random_dag(n, rng, edge_prob=0.4)
             vs = rng.sample(range(n), 2 + rng.randrange(4))
             tau = CITriple(VarSet.of(vs[0]), VarSet.of(vs[1]), VarSet.of(*vs[2:]))
             cert = check_recursive(dag, tau)
-            if cert.implied or not wanted[cert.refutation_kind]:
+            if cert.implied:
                 continue
-            wanted[cert.refutation_kind] -= 1
-            assert_certified(cert, dag, tau)
+            trail = cert.refutation_trail
+            collider = any(
+                trail[i - 1] in dag.parents[v] and trail[i + 1] in dag.parents[v]
+                for i, v in enumerate(trail[1:-1], start=1)
+            )
+            key = "collider" if collider else "no collider"
+            if wanted[key]:
+                wanted[key] -= 1
+                assert_certified(cert, dag, tau)

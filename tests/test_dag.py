@@ -9,6 +9,7 @@ from cirelax import (
     CISet,
     Dag,
     VarSet,
+    active_trail,
     d_separated,
     entropic_table,
     implies_positive,
@@ -17,7 +18,13 @@ from cirelax import (
     recursive_basis,
 )
 
-from helpers import all_dags, elemental_queries, path_d_separated, random_dag
+from helpers import (
+    all_canonical_triples,
+    all_dags,
+    elemental_queries,
+    path_d_separated,
+    random_dag,
+)
 
 
 def chain3() -> Dag:
@@ -148,6 +155,11 @@ class TestDSeparation:
             for x, y, z in elemental_queries(3):
                 assert d_separated(dag, x, y, z) == path_d_separated(dag, x, y, z)
 
+    def test_against_path_oracle_exhaustive_n4(self):
+        for dag in all_dags(4):
+            for x, y, z in elemental_queries(4):
+                assert d_separated(dag, x, y, z) == path_d_separated(dag, x, y, z)
+
     def test_against_path_oracle_random_n5(self):
         rng = random.Random(31)
         for trial in range(15):
@@ -160,6 +172,44 @@ class TestDSeparation:
             ("a", "b", "c", "d"), [("a", "b"), ("b", "c"), ("b", "d")]
         )
         assert d_separated(dag, VarSet.of(0), VarSet.of(2, 3), VarSet.of(1))
+
+
+class TestActiveTrail:
+    def test_collider_and_chain(self):
+        assert active_trail(collider3(), VarSet.of(0), VarSet.of(1), VarSet.of(2)) == (0, 2, 1)
+        assert active_trail(collider3(), VarSet.of(0), VarSet.of(1), VarSet()) is None
+        assert active_trail(chain3(), VarSet.of(2), VarSet.of(0), VarSet()) == (2, 1, 0)
+
+    def test_descendant_of_z_opens_the_collider(self):
+        dag = Dag.from_edges(
+            ("a", "b", "c", "d"), [("a", "c"), ("b", "c"), ("c", "d")]
+        )
+        assert active_trail(dag, VarSet.of(0), VarSet.of(1), VarSet.of(3)) == (0, 2, 1)
+
+    def test_shape_exhaustive_n4(self):
+        """A simple path from x to y along DAG edges whose non-colliders
+        avoid z and whose colliders are ancestors of z, for every DAG and
+        every query on four nodes."""
+        triples = all_canonical_triples(4)
+        for dag in all_dags(4):
+            for t in triples:
+                trail = active_trail(dag, t.x, t.y, t.z)
+                if trail is None:
+                    continue
+                assert trail[0] in t.x and trail[-1] in t.y
+                assert len(set(trail)) == len(trail)
+                ancestors = dag.ancestral_closure(t.z)
+                for i, v in enumerate(trail):
+                    into = [
+                        w in dag.parents[v]
+                        for w in trail[max(i - 1, 0):i] + trail[i + 1:i + 2]
+                    ]
+                    for w in trail[i + 1:i + 2]:
+                        assert w in dag.parents[v] or v in dag.parents[w]
+                    if into == [True, True]:
+                        assert v in ancestors
+                    else:
+                        assert v not in t.z
 
 
 class TestSeparationImpliesAtomCoverage:

@@ -1,6 +1,7 @@
 """Certified checkers, semigraphoid closure, tightness, and validation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from cirelax import (
     Dag,
     Universe,
     VarSet,
+    active_trail,
     check_marginal,
     check_recursive,
     d_separated,
@@ -73,7 +75,9 @@ class TestCheckRecursive:
         tau = T("I(X1;X2|X3)", dag.universe)
         cert = check_recursive(dag, tau)
         assert not cert.implied
-        assert cert.refutation_kind == "parity"
+        assert cert.refutation_kind == "trail"
+        assert cert.refutation_trail == (0, 2, 1)
+        assert cert.refutation_distribution is None
         verify_refutation(cert, recursive_basis(dag), tau)
 
     def test_chain_unconditioned_ends(self):
@@ -81,8 +85,9 @@ class TestCheckRecursive:
         tau = T("I(X1;X3)", dag.universe)
         cert = check_recursive(dag, tau)
         assert not cert.implied
-        assert cert.refutation_kind == "single-atom"
-        assert cert.witness_atom == 0b111
+        assert cert.refutation_kind == "trail"
+        assert cert.witness_triple == tau
+        assert cert.refutation_trail == (0, 1, 2)
         verify_refutation(cert, recursive_basis(dag), tau)
 
     def test_random_negative_verdicts_all_certified(self):
@@ -118,7 +123,59 @@ class TestCheckRecursive:
             "IMPLIED lambda=1\nkind=recursive\ntau=I(X1;X3|X2)\nsource=d-separation"
         )
         text = check_recursive(dag, T("I(X1;X3)", dag.universe)).render(dag.universe)
-        assert text.splitlines()[0] == "NOT-IMPLIED witness=atom{X1,X2,X3}"
+        assert text == (
+            "NOT-IMPLIED witness=I(X1;X3)\nkind=recursive\ntau=I(X1;X3)\n"
+            "refutation=trail X1,X2,X3"
+        )
+        dag = collider3()
+        text = check_recursive(dag, T("I(X1;X2|X3)", dag.universe)).render(dag.universe)
+        assert text.splitlines()[-1] == "refutation=trail X1,X3,X2"
+
+    def test_network_budget_query_is_refuted(self):
+        # Exhausted the 2**17-candidate network search of the former
+        # refutation path; one active trail refutes it.
+        names = tuple(f"v{i}" for i in range(12))
+        edges = [(0, 2), (1, 2), (0, 4), (2, 5), (4, 6), (0, 7), (3, 7), (7, 8),
+                 (0, 9), (1, 9), (4, 9), (7, 9), (7, 10), (8, 10), (1, 11),
+                 (2, 11), (5, 11), (6, 11)]
+        dag = Dag.from_edges(names, [(names[p], names[c]) for p, c in edges])
+        tau = T("I(v10;v11|v2,v6,v8)", dag.universe)
+        cert = check_recursive(dag, tau)
+        assert not cert.implied and cert.refutation_kind == "trail"
+        table = cert.refutation_table
+        assert all(table.cmi(s) == 0 for s in recursive_basis(dag))
+        assert table.cmi(tau) == 1
+
+    def test_collider_path_into_the_trail_is_spliced(self):
+        # The shortest trail x <- b -> c <- d -> y passes the collider c,
+        # whose only path to z runs c -> e -> x -> z, through x itself.
+        # Copying c down it would make x the XOR of b and c, that is d's
+        # bit, and z a copy of x: tau would be 0.  The path is spliced in.
+        names = ("x", "b", "c", "d", "y", "e", "z")
+        dag = Dag.from_edges(
+            names,
+            [("b", "x"), ("b", "c"), ("d", "c"), ("d", "y"), ("c", "e"), ("e", "x"), ("x", "z")],
+        )
+        tau = T("I(x;y|z)", dag.universe)
+        assert active_trail(dag, tau.x, tau.y, tau.z) == (0, 1, 2, 3, 4)
+        cert = check_recursive(dag, tau)
+        assert cert.refutation_trail == (0, 5, 2, 3, 4)
+        verify_refutation(cert, recursive_basis(dag), tau)
+
+    def test_separated_past_the_table_cap(self):
+        # a chain of 20 nodes: nothing of size 2**n is built for a separated query
+        names = tuple(f"v{i}" for i in range(20))
+        dag = Dag.from_edges(names, [(names[i], names[i + 1]) for i in range(19)])
+        cert = check_recursive(dag, T("I(v0;v19|v10)", dag.universe))
+        assert cert.render(dag.universe).splitlines()[0] == "IMPLIED lambda=1"
+
+    def test_connected_past_the_table_cap_raises_at_once(self):
+        names = tuple(f"v{i}" for i in range(17))
+        dag = Dag.from_edges(names, [(names[i], names[i + 1]) for i in range(16)])
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            check_recursive(dag, T("I(v0;v16)", dag.universe))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestVerifyRefutation:

@@ -26,11 +26,13 @@ from cirelax import (
     single_atom_polymatroid,
 )
 from cirelax.distributions import parse_distribution, format_distribution
-from cirelax.polymatroids import _gf2_rank, linear_rank_table
+from cirelax.atoms import MAX_ATOM_VARIABLES
+from cirelax.polymatroids import MAX_TABLE_VARIABLES, linear_rank_table
 
 from helpers import (
     all_canonical_triples,
     entropic_table_by_definition,
+    gf2_rank,
     polymatroid_by_definition,
     random_triple,
 )
@@ -96,12 +98,15 @@ class TestEntropicTable:
 
 
 class TestEntropicTableBySummingOut:
-    """The summing-out table against one pass over the joint per subset."""
+    """The summing-out table and ``entropy`` against one pass over the
+    joint per subset."""
 
     def assert_close(self, d):
         got = entropic_table(d).values
         want = entropic_table_by_definition(d).values
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+        single = [entropy(d, VarSet(m)) for m in range(1 << d.n)]
+        assert max(abs(a - b) for a, b in zip(single, got)) <= 1e-12
 
     def test_random_float_tables(self):
         for n in range(0, 9):
@@ -127,8 +132,9 @@ class TestEntropicTableBySummingOut:
             for d in cases:
                 got = entropic_table(d).values
                 want = entropic_table_by_definition(d).values
-                assert got == want
-                assert all(type(a) is type(b) is Fraction for a, b in zip(got, want))
+                single = tuple(entropy(d, VarSet(m)) for m in range(1 << n))
+                assert got == want == single
+                assert all(type(a) is type(b) is Fraction for a, b in zip(got, single))
 
     def test_non_dyadic_marginal_raises(self):
         # every cell is a power of two, but H(X0) needs p = 5/8 and 3/8
@@ -139,6 +145,9 @@ class TestEntropicTableBySummingOut:
             entropic_table(d)
         with pytest.raises(CIError, match="irrational"):
             entropic_table_by_definition(d)
+        with pytest.raises(CIError, match="irrational"):
+            entropy(d, VarSet.of(0))
+        assert entropy(d, VarSet.of(0, 1)) == Fraction(7, 4)
 
     def test_capped(self):
         with pytest.raises(CapExceeded):
@@ -366,7 +375,12 @@ class TestLinearRankTable:
                 assert table.n == n and table.exact
                 for mask in range(1 << n):
                     chosen = [forms[v] for v in range(n) if mask >> v & 1]
-                    assert table.values[mask] == _gf2_rank(chosen)
+                    assert table.values[mask] == gf2_rank(chosen)
+
+    def test_capped_before_building(self):
+        assert MAX_ATOM_VARIABLES == MAX_TABLE_VARIABLES == 16
+        with pytest.raises(CapExceeded):
+            linear_rank_table([1 << v for v in range(MAX_TABLE_VARIABLES + 1)])
 
 
 class TestDistributionFiles:
