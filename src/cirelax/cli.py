@@ -317,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau")
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("counterexample", help="write a one-atom refutation table")
+    p = sub.add_parser(
+        "counterexample",
+        help="write a one-atom refutation table or a parity distribution",
+    )
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--out", required=True)

@@ -5,8 +5,14 @@ inequalities: one monotonicity row per variable and one submodularity row
 per variable pair and conditioning subset.  Optimal approximation factors
 are the value of ``max I(tau)`` subject to the cone and ``I(sigma) <= 1``;
 the cone is scale-invariant, so an unbounded program means no finite
-factor exists.  All arithmetic is rational and the pivot rule is Bland's,
-so results are exact and runs are deterministic.
+factor exists.
+
+Programs take only that shape: one column h(S) >= 0 per nonempty set S
+(polymatroids are non-negative), the cone rows, and extra rows
+``f <= rhs`` with ``rhs >= 0``.  The origin is then feasible, so a single
+simplex phase from the all-slack basis solves them.  All arithmetic is
+rational and the pivot rule is Bland's, so results are exact and runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, VarSet
+from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
 from .polymatroids import PolymatroidTable, is_polymatroid
 
 MAX_LP_VARIABLES = 5
@@ -66,26 +72,8 @@ class LinearFunctional:
                 d[mask] = d.get(mask, _F0) + c
         return cls.from_dict(d)
 
-    def scaled(self, q: Fraction) -> "LinearFunctional":
-        return LinearFunctional.from_dict({m: c * q for m, c in self.coeffs})
-
-    def minus(self, other: "LinearFunctional") -> "LinearFunctional":
-        d = {m: c for m, c in self.coeffs}
-        for m, c in other.coeffs:
-            d[m] = d.get(m, _F0) - c
-        return LinearFunctional.from_dict(d)
-
     def evaluate(self, table: PolymatroidTable):
         return sum((table.values[m] * c for m, c in self.coeffs), _F0)
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mask, c in self.coeffs:
-            vs = "{%s}" % ",".join(str(i) for i in VarSet(mask))
-            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*h{vs}")
-        return " ".join(parts)
 
 
 def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:
@@ -123,188 +111,93 @@ def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """Maximize a functional over the polymatroid cone plus extra rows."""
+    """Maximize a functional over the polymatroid cone plus rows ``f <= rhs``.
+
+    Every ``rhs`` must be non-negative, so the origin is always feasible.
+    """
 
     n: int
     objective: LinearFunctional
-    constraints: tuple[tuple[LinearFunctional, str, Fraction], ...] = ()
-
-    def dump(self) -> str:
-        lines = [f"maximize {self.objective.render()}"]
-        lines.append("subject to the polymatroid cone rows:")
-        for row in elemental_inequalities(self.n):
-            lines.append(f"  {row.render()} >= 0")
-        for f, rel, rhs in self.constraints:
-            lines.append(f"  {f.render()} {rel} {rhs}")
-        return "\n".join(lines)
+    constraints: tuple[tuple[LinearFunctional, Fraction], ...] = ()
 
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "unbounded"
     optimum: Fraction | None
     point: PolymatroidTable | None
     pivots: tuple[tuple[int, int], ...] = field(compare=False, default=())
 
 
 def simplex_solve(program: ConeProgram) -> SimplexResult:
-    """Exact two-phase primal simplex with Bland's pivot rule.
+    """Exact one-phase primal simplex with Bland's pivot rule.
 
-    Set variables are split into non-negative pairs; every cone row is a
-    homogeneous inequality, so the all-slack basis is feasible and phase
-    one only runs when extra constraints demand artificial variables.  The
-    returned point is verified to satisfy the cone exactly.
+    Column ``mask - 1`` is h(mask) itself, with h >= 0: monotonicity and
+    h(empty) = 0 make every polymatroid non-negative, so no column is split
+    into a signed pair.  Each cone row becomes ``-row <= 0`` and each extra
+    row ``f <= rhs`` with ``rhs >= 0``, one slack column per row.  The
+    all-slack basis is then feasible and the reduced costs start as the
+    objective, so no phase one is needed.  The returned point is verified
+    to satisfy the cone exactly.
     """
     n = program.n
-    nxt_mask = 1 << n
-    nvars = nxt_mask - 1
-    nstruct = 2 * nvars
+    nvars = (1 << n) - 1
+    for f in [program.objective] + [f for f, _ in program.constraints]:
+        if any(not 0 < mask <= nvars for mask, _ in f.coeffs):
+            raise CIError(f"a mask is not a nonempty subset of {n} variables")
+    if any(rhs < 0 for _, rhs in program.constraints):
+        raise CIError("a constraint has a negative right-hand side")
+    rows = [(tuple((m, -c) for m, c in f.coeffs), _F0) for f in elemental_inequalities(n)]
+    rows += [(f.coeffs, Fraction(rhs)) for f, rhs in program.constraints]
 
-    prep: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for f in elemental_inequalities(n):
-        prep.append(({m: -c for m, c in f.coeffs}, "<=", _F0))  # -f <= 0
-    for f, rel, rhs in program.constraints:
-        coeffs = {m: c for m, c in f.coeffs}
-        rhs = Fraction(rhs)
-        if rel not in ("<=", ">=", "=="):
-            raise CIError(f"unknown relation {rel!r}")
-        if rhs < 0:
-            coeffs = {m: -c for m, c in coeffs.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        if rel == ">=" and rhs == 0:
-            coeffs = {m: -c for m, c in coeffs.items()}
-            rel = "<="
-        prep.append((coeffs, rel, rhs))
-
-    m_rows = len(prep)
-    n_slack = sum(1 for _, rel, _ in prep if rel in ("<=", ">="))
-    n_art = sum(1 for _, rel, rhs in prep if rel == "==" or (rel == ">=" and rhs > 0))
-    ncols = nstruct + n_slack + n_art
-
+    m_rows = len(rows)
+    ncols = nvars + m_rows
     A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    si = nstruct
-    ai = nstruct + n_slack
-    for coeffs, rel, rhs in prep:
+    for r, (coeffs, _) in enumerate(rows):
         row = [_F0] * ncols
-        for mask, c in coeffs.items():
-            row[2 * (mask - 1)] = c
-            row[2 * (mask - 1) + 1] = -c
-        if rel == "<=":
-            row[si] = _F1
-            basis.append(si)
-            si += 1
-        elif rel == ">=":
-            row[si] = -_F1
-            si += 1
-            row[ai] = _F1
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
-        else:
-            row[ai] = _F1
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+        for mask, c in coeffs:
+            row[mask - 1] = c
+        row[nvars + r] = _F1
         A.append(row)
-        b.append(rhs)
-
-    allowed = [True] * ncols
+    b = [rhs for _, rhs in rows]
+    basis = list(range(nvars, ncols))
+    rc = [_F0] * ncols
+    for mask, c in program.objective.coeffs:
+        rc[mask - 1] = c
     pivots: list[tuple[int, int]] = []
 
-    def pivot(r: int, j: int, rc: list[Fraction]) -> None:
+    while True:
+        j = next((k for k in range(ncols) if rc[k] > 0), None)
+        if j is None:
+            break
+        ratios = [(b[r] / A[r][j], basis[r], r) for r in range(m_rows) if A[r][j] > 0]
+        if not ratios:
+            return SimplexResult("unbounded", None, None, tuple(pivots))
+        r = min(ratios)[2]
         piv = A[r][j]
-        A[r] = [v / piv for v in A[r]]
+        prow = A[r] = [v / piv for v in A[r]]
         b[r] /= piv
-        prow = A[r]
-        for rr in range(m_rows):
-            if rr != r:
-                f = A[rr][j]
-                if f != 0:
-                    A[rr] = [v - f * p for v, p in zip(A[rr], prow)]
-                    b[rr] -= f * b[r]
+        nonzero = [k for k, v in enumerate(prow) if v]
+        for rr, row in enumerate(A):
+            f = row[j]
+            if rr != r and f:
+                for k in nonzero:
+                    row[k] -= f * prow[k]
+                b[rr] -= f * b[r]
         f = rc[j]
-        if f != 0:
-            for k in range(ncols):
-                rc[k] -= f * prow[k]
+        for k in nonzero:
+            rc[k] -= f * prow[k]
         basis[r] = j
         pivots.append((j, r))
 
-    def reduced_costs(c_vec: list[Fraction]) -> list[Fraction]:
-        rc = list(c_vec)
-        for r, col in enumerate(basis):
-            cb = c_vec[col]
-            if cb != 0:
-                for k in range(ncols):
-                    rc[k] -= cb * A[r][k]
-        return rc
-
-    def run(c_vec: list[Fraction]) -> str:
-        rc = reduced_costs(c_vec)
-        while True:
-            j = next(
-                (k for k in range(ncols) if allowed[k] and rc[k] > 0), None
-            )
-            if j is None:
-                return "optimal"
-            best_key = None
-            best_row = -1
-            for r in range(m_rows):
-                if A[r][j] > 0:
-                    key = (b[r] / A[r][j], basis[r])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_row = r
-            if best_row < 0:
-                return "unbounded"
-            pivot(best_row, j, rc)
-
-    if art_cols:
-        c1 = [_F0] * ncols
-        for col in art_cols:
-            c1[col] = -_F1
-        status = run(c1)
-        if status != "optimal":
-            raise InternalCheckError("phase one cannot be unbounded")
-        z1 = sum((c1[basis[r]] * b[r] for r in range(m_rows)), _F0)
-        if z1 < 0:
-            return SimplexResult("infeasible", None, None, tuple(pivots))
-        for r in range(m_rows):
-            if basis[r] in art_cols:
-                j = next(
-                    (
-                        k
-                        for k in range(ncols)
-                        if k not in art_cols and A[r][k] != 0
-                    ),
-                    None,
-                )
-                if j is not None:
-                    pivot(r, j, [_F0] * ncols)
-        for col in art_cols:
-            allowed[col] = False
-
-    c2 = [_F0] * ncols
-    for mask, c in program.objective.coeffs:
-        c2[2 * (mask - 1)] = c
-        c2[2 * (mask - 1) + 1] = -c
-    status = run(c2)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, tuple(pivots))
-
-    optimum = sum((c2[basis[r]] * b[r] for r in range(m_rows)), _F0)
-    values = [_F0] * nxt_mask
+    values = [_F0] * (nvars + 1)
     for r, col in enumerate(basis):
-        if col < nstruct:
-            mask = col // 2 + 1
-            values[mask] += b[r] if col % 2 == 0 else -b[r]
+        if col < nvars:
+            values[col + 1] = b[r]
     point = PolymatroidTable(n, tuple(values))
     if not is_polymatroid(point, 0):
         raise InternalCheckError("simplex produced a point outside the cone")
-    return SimplexResult("optimal", optimum, point, tuple(pivots))
+    return SimplexResult("optimal", program.objective.evaluate(point), point, tuple(pivots))
 
 
 def optimal_lambda(sigma: CISet, tau: CITriple, n: int) -> Fraction | _Unbounded:
@@ -314,31 +207,10 @@ def optimal_lambda(sigma: CISet, tau: CITriple, n: int) -> Fraction | _Unbounded
     homogeneity the program is unbounded exactly when some polymatroid has
     h(sigma) = 0 and h(tau) > 0, i.e. when no finite factor exists.
     """
+    check_fits(tau, n)
+    check_fits(sigma, n)
     program = ConeProgram(
-        n,
-        LinearFunctional.cmi(tau),
-        ((LinearFunctional.total_cmi(sigma), "<=", _F1),),
+        n, LinearFunctional.cmi(tau), ((LinearFunctional.total_cmi(sigma), _F1),)
     )
     result = simplex_solve(program)
-    if result.status == "unbounded":
-        return UNBOUNDED
-    if result.status != "optimal":
-        raise InternalCheckError(f"unexpected LP status {result.status}")
-    return result.optimum
-
-
-def check_ai_gamma(sigma: CISet, tau: CITriple, lam: Fraction, n: int) -> bool:
-    """Whether h(tau) <= lam * h(sigma) holds over the whole cone.
-
-    The maximum of I(tau) - lam * I(sigma) over the cone is 0 when the
-    bound holds (the origin is feasible) and unbounded otherwise.
-    """
-    objective = LinearFunctional.cmi(tau).minus(
-        LinearFunctional.total_cmi(sigma).scaled(Fraction(lam))
-    )
-    result = simplex_solve(ConeProgram(n, objective))
-    if result.status == "unbounded":
-        return False
-    if result.optimum != 0:
-        raise InternalCheckError("homogeneous cone program with non-zero optimum")
-    return True
+    return UNBOUNDED if result.status == "unbounded" else result.optimum

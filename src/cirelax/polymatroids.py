@@ -60,10 +60,6 @@ class PolymatroidTable:
         return f"PolymatroidTable(n={self.n}, h(full)={self.values[-1]})"
 
 
-def cond_mutual_information(table: PolymatroidTable, t: CITriple):
-    return table.cmi(t)
-
-
 def linear_rank_table(forms: Sequence[int]) -> PolymatroidTable:
     """The table h(A) = GF(2) rank of ``{forms[v] : v in A}``.
 

@@ -7,6 +7,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, VarSet
 
 
@@ -229,3 +231,43 @@ def gf2_rank(vectors) -> int:
                 rank += 1
                 break
     return rank
+
+
+def lambda_by_highs(sigma, tau, n: int) -> float | None:
+    """Independent float oracle for the least factor: max I(tau) subject to
+    I(sigma) <= 1 and every monotonicity and submodularity inequality from
+    the definition, solved by SciPy's HiGHS.  ``None`` when unbounded."""
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import linprog
+
+    size = 1 << n
+
+    def form(terms) -> np.ndarray:
+        f = np.zeros(size - 1)
+        for mask, c in terms:
+            if mask:
+                f[mask - 1] += c
+        return f
+
+    def cmi(t: CITriple) -> np.ndarray:
+        x, y, z = t.x.bits, t.y.bits, t.z.bits
+        return form(((x | z, 1), (y | z, 1), (x | y | z, -1), (z, -1)))
+
+    rows = []  # each row r means r . h >= 0
+    for b in range(size):
+        for a in range(size):
+            if a & b == a != b:
+                rows.append(form(((b, 1), (a, -1))))
+            if a < b:
+                rows.append(form(((a, 1), (b, 1), (a | b, -1), (a & b, -1))))
+    sigma_f = sum((cmi(t) for t in sigma), np.zeros(size - 1))
+    a_ub = np.vstack([-r for r in rows] + [sigma_f])
+    b_ub = np.zeros(len(rows) + 1)
+    b_ub[-1] = 1.0
+    res = linprog(-cmi(tau), A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    if res.status == 3:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    return -res.fun

@@ -16,7 +16,6 @@ from cirelax import (
     VarSet,
     atom_measure,
     atoms_of,
-    cond_mutual_information,
     entropic_table,
     entropy,
     is_polymatroid,
@@ -174,7 +173,7 @@ class TestConditionalMutualInformation:
     def test_parity_scores_one_on_its_own_triple(self):
         tau = CITriple(VarSet.of(0), VarSet.of(1), VarSet.of(2))
         table = entropic_table(parity_distribution(3, tau))
-        assert cond_mutual_information(table, tau) == 1
+        assert table.cmi(tau) == 1
 
     def test_chain_rule_residual_vanishes(self):
         rng = random.Random(13)
