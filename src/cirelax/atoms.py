@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
+from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, VarSet, check_fits
 from .polymatroids import MAX_TABLE_VARIABLES, PolymatroidTable, linear_rank_table
 
 MAX_ATOM_VARIABLES = MAX_TABLE_VARIABLES
@@ -26,55 +25,13 @@ def _check_atom_cap(n: int) -> None:
         raise CapExceeded(f"atom sets support 1..{MAX_ATOM_VARIABLES} variables, got {n}")
 
 
-@dataclass(frozen=True)
-class AtomSet:
-    """A subset of the 2**n - 1 non-empty atoms.
+def atoms_of(t: CITriple, n: int) -> VarSet:
+    """The atoms covered by the CI term (x;y|z).
 
-    Bit position s of ``bits`` is set when the atom with positive-form
-    variable mask s belongs to the set; position 0 (no positive variable)
-    is never set because that cell of the diagram is empty.
+    Bit s of the result is set when the atom with positive-form variable
+    mask s is covered; bit 0 (no positive variable) never is, because that
+    cell of the diagram is empty.
     """
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        _check_atom_cap(self.n)
-        if self.bits & 1:
-            raise CIError("the empty positive set is not an atom")
-        if self.bits >> (1 << self.n):
-            raise CIError("atom index out of range")
-
-    def __or__(self, other: "AtomSet") -> "AtomSet":
-        return AtomSet(self.n, self.bits | other.bits)
-
-    def __contains__(self, atom_mask: int) -> bool:
-        return bool(self.bits >> atom_mask & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def issubset(self, other: "AtomSet") -> bool:
-        return not self.bits & ~other.bits
-
-    def smallest(self) -> int:
-        if not self.bits:
-            raise CIError("empty atom set")
-        return (self.bits & -self.bits).bit_length() - 1
-
-
-def atoms_of(t: CITriple, n: int) -> AtomSet:
-    """The atoms covered by the CI term (x;y|z)."""
     _check_atom_cap(n)
     check_fits(t, n)
     xb, yb, zb = t.x.bits, t.y.bits, t.z.bits
@@ -82,11 +39,12 @@ def atoms_of(t: CITriple, n: int) -> AtomSet:
     for s in range(1, 1 << n):
         if not s & zb and s & xb and s & yb:
             out |= 1 << s
-    return AtomSet(n, out)
+    return VarSet(out)
 
 
-def atoms_of_set(sigma: CISet, n: int) -> AtomSet:
-    out = AtomSet(n, 0)
+def atoms_of_set(sigma: CISet, n: int) -> VarSet:
+    _check_atom_cap(n)
+    out = VarSet(0)
     for t in sigma:
         out |= atoms_of(t, n)
     return out
@@ -104,10 +62,10 @@ def implies_positive(sigma: CISet, tau: CITriple, n: int) -> Verdict:
     Implied exactly when the atoms of ``tau`` are contained in the atoms of
     ``sigma``; otherwise the smallest uncovered atom is the witness.
     """
-    missing = atoms_of(tau, n).bits & ~atoms_of_set(sigma, n).bits
-    if missing == 0:
+    missing = atoms_of(tau, n) - atoms_of_set(sigma, n)
+    if not missing:
         return Verdict(True)
-    return Verdict(False, (missing & -missing).bit_length() - 1)
+    return Verdict(False, missing.min())
 
 
 def reduce_antecedents(sigma: CISet, tau: CITriple, n: int) -> CISet:
@@ -118,8 +76,8 @@ def reduce_antecedents(sigma: CISet, tau: CITriple, n: int) -> CISet:
     """
     if not implies_positive(sigma, tau, n).implied:
         raise CIError("reduce_antecedents requires an implied consequent")
-    tau_bits = atoms_of(tau, n).bits
-    kept = CISet(tuple(t for t in sigma if atoms_of(t, n).bits & tau_bits))
+    tau_atoms = atoms_of(tau, n)
+    kept = CISet(tuple(t for t in sigma if atoms_of(t, n) & tau_atoms))
     if not implies_positive(kept, tau, n).implied:
         raise InternalCheckError("antecedent reduction lost the implication")
     return kept
@@ -164,7 +122,7 @@ class AtomMeasure:
     def is_positive(self, tol=0) -> bool:
         return all(v >= -tol for v in self.mass[1:])
 
-    def total_on(self, atoms: AtomSet):
+    def total_on(self, atoms: VarSet):
         return sum(self.mass[s] for s in atoms)
 
 

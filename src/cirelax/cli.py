@@ -19,11 +19,14 @@ from fractions import Fraction
 from .core import (
     CIError,
     CISet,
-    CITriple,
     InternalCheckError,
     ParseError,
     Universe,
+    VarSet,
+    _name_list,
+    _payload_lines,
     collect_names,
+    parse_ci_lines,
     parse_ci_triple,
 )
 from .atoms import implies_positive, single_atom_polymatroid
@@ -36,30 +39,27 @@ from .implication import (
     semigraphoid_closure,
     validate_bound,
 )
-from .lp import UNBOUNDED, optimal_lambda
-from .polymatroids import PolymatroidTable
+from .lp import UNBOUNDED, LinearFunctional, optimal_lambda
+from .polymatroids import read_polymatroid, write_polymatroid
 
 DEFAULT_ARTIFACT = "refutation.out"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CIRELAX_SEED", "0"))
+    text = os.environ.get("CIRELAX_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"CIRELAX_SEED must be an integer, got {text!r}") from None
 
 
-def _universe_for(sigma_path: str | None, queries: list[str]) -> tuple[CISet, Universe]:
+def _universe_for(sigma_path: str, queries: list[str]) -> tuple[CISet, Universe]:
     """Antecedents plus a universe covering them and the query names, in
     order of first appearance."""
-    lines: list[str] = []
-    if sigma_path is not None:
-        with open(sigma_path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    lines.append(line)
-    names = collect_names(lines + queries)
-    universe = Universe(tuple(names))
-    triples = [parse_ci_triple(text, universe) for text in lines]
-    return CISet(tuple(triples)), universe
+    with open(sigma_path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    texts = [text for _, text in _payload_lines(lines)]
+    return parse_ci_lines(lines, Universe(tuple(collect_names(texts + queries))))
 
 
 def _render_value(v) -> str:
@@ -69,61 +69,27 @@ def _render_value(v) -> str:
     return text
 
 
-def _parse_measure_term(text: str, universe: Universe):
-    """``H(A)``, ``H(A|B)``, ``I(X;Y)``, or ``I(X;Y|Z)``."""
+def _parse_measure_term(text: str, universe: Universe) -> LinearFunctional:
+    """``H(A)``, ``H(A|B)``, ``I(X;Y)`` or ``I(X;Y|Z)``, as a form over
+    subset masks; ``H(A|B)`` is h(A | B) - h(B)."""
     s = text.strip()
     if s.startswith("I(") and s.endswith(")"):
-        return ("I", parse_ci_triple(s, universe))
+        return LinearFunctional.cmi(parse_ci_triple(s, universe))
     if s.startswith("H(") and s.endswith(")"):
-        body = s[2:-1]
-        left, _, right = body.partition("|")
-        from .core import _name_list
-
+        left, _, right = s[2:-1].partition("|")
         alpha = universe.set_of(*_name_list(left))
         beta = universe.set_of(*_name_list(right))
         if not alpha:
             raise ParseError(f"empty entropy argument in {text!r}")
-        return ("H", alpha, beta)
+        return LinearFunctional.from_terms((((alpha | beta).bits, 1), (beta.bits, -1)))
     raise ParseError(f"expected H(...) or I(...), got {text!r}")
-
-
-def format_polymatroid(table: PolymatroidTable, universe: Universe) -> str:
-    lines = ["polymatroid vars " + " ".join(universe.names)]
-    for mask in range(1, 1 << table.n):
-        v = Fraction(table.values[mask])
-        names = ",".join(universe.names[i] for i in range(table.n) if mask >> i & 1)
-        lines.append(f"set {names} {v.numerator}/{v.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
-    from .core import _payload_lines
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = list(_payload_lines(fh))
-    if not payload or not payload[0][1].startswith("polymatroid vars "):
-        raise ParseError("table files start with 'polymatroid vars NAME ...'")
-    universe = Universe(tuple(payload[0][1].split()[2:]))
-    values = [Fraction(0)] * (1 << universe.n)
-    for lineno, line in payload[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "set":
-            raise ParseError(f"line {lineno}: expected 'set NAMES VALUE'")
-        mask = universe.set_of(*parts[1].split(",")).bits
-        num, _, den = parts[2].partition("/")
-        try:
-            values[mask] = Fraction(int(num), int(den)) if den else Fraction(num)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"line {lineno}: bad value {parts[2]!r}") from None
-    return PolymatroidTable(universe.n, tuple(values)), universe
 
 
 def _write_refutation(cert, universe: Universe, path: str) -> None:
     if cert.refutation_kind == "parity":
         write_distribution(cert.refutation_distribution, universe, path)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_polymatroid(cert.refutation_table, universe))
+        write_polymatroid(cert.refutation_table, universe, path)
 
 
 def _cmd_dsep(args) -> int:
@@ -220,8 +186,7 @@ def _cmd_counterexample(args) -> int:
     verdict = implies_positive(sigma, tau, universe.n)
     if not verdict.implied:
         table = single_atom_polymatroid(verdict.witness, universe.n)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_polymatroid(table, universe))
+        write_polymatroid(table, universe, args.out)
         print(f"NOT-IMPLIED witness=atom{universe.render_atom(verdict.witness)}")
         print(f"artifact={args.out} kind=single-atom")
         return 0
@@ -252,29 +217,17 @@ def _cmd_validate(args) -> int:
 def _cmd_entropy(args) -> int:
     if args.table is not None:
         table, universe = read_polymatroid(args.table)
-        term = _parse_measure_term(args.term, universe)
-        if term[0] == "I":
-            value = table.cmi(term[1])
-        else:
-            value = table.conditional_entropy(term[1], term[2])
-        print(_render_value(value))
-        return 0
-    dist, universe = read_distribution(args.dist)
-    term = _parse_measure_term(args.term, universe)
-
-    def h(alpha):
-        try:
-            return entropy(dist, alpha)
-        except CIError:
-            return entropy(dist.as_float(), alpha)
-
-    if term[0] == "I":
-        t: CITriple = term[1]
-        value = h(t.z | t.x) + h(t.z | t.y) - h(t.z | t.x | t.y) - h(t.z)
+        h = table.value
     else:
-        alpha, beta = term[1], term[2]
-        value = h(alpha | beta) - h(beta)
-    print(_render_value(value))
+        dist, universe = read_distribution(args.dist)
+
+        def h(mask):
+            try:
+                return entropy(dist, VarSet(mask))
+            except CIError:
+                return entropy(dist.as_float(), VarSet(mask))
+
+    print(_render_value(_parse_measure_term(args.term, universe).evaluate(h)))
     return 0
 
 
@@ -349,14 +302,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     if getattr(args, "command", None) == "entropy" and (args.dist is None) == (
         args.table is None
     ):
         print("error: exactly one of --dist or --table is required", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except (CIError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

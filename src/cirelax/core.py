@@ -81,11 +81,6 @@ class VarSet:
             raise CIError("empty variable set has no minimum")
         return (self.bits & -self.bits).bit_length() - 1
 
-    def max(self) -> int:
-        if not self.bits:
-            raise CIError("empty variable set has no maximum")
-        return self.bits.bit_length() - 1
-
     def complement(self, n: int) -> "VarSet":
         return VarSet(((1 << n) - 1) & ~self.bits)
 
@@ -129,9 +124,6 @@ class CITriple:
     @property
     def mentioned(self) -> VarSet:
         return self.x | self.y | self.z
-
-    def max_index(self) -> int:
-        return self.mentioned.max()
 
     def __repr__(self) -> str:
         def part(vs: VarSet) -> str:

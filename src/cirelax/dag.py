@@ -14,6 +14,7 @@ from .core import (
     ParseError,
     Universe,
     VarSet,
+    _payload_lines,
     check_fits,
 )
 
@@ -98,17 +99,14 @@ def parse_dag(lines: Iterable[str]) -> Dag:
     """Parse the line-based DAG format: ``var NAME`` then ``edge PARENT CHILD``."""
     names: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _payload_lines(lines):
         parts = line.split()
         if parts[0] == "var" and len(parts) == 2:
             names.append(parts[1])
         elif parts[0] == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
         else:
-            raise ParseError(f"line {lineno}: expected 'var NAME' or 'edge P C', got {raw!r}")
+            raise ParseError(f"line {lineno}: expected 'var NAME' or 'edge P C', got {line!r}")
     try:
         return Dag.from_edges(names, edges)
     except CIError as exc:

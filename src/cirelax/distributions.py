@@ -19,7 +19,16 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
-from .core import CapExceeded, CIError, CITriple, Universe, VarSet, check_fits
+from .core import (
+    CapExceeded,
+    CIError,
+    CITriple,
+    ParseError,
+    Universe,
+    VarSet,
+    _payload_lines,
+    check_fits,
+)
 from .atoms import AtomMeasure, measure_from_table
 from .polymatroids import PolymatroidTable
 
@@ -32,11 +41,9 @@ SUM_TOLERANCE = 1e-12
 SAMPLER_NAME = "mt19937-exp-spacing-v1"
 
 
-def _product(sizes: Sequence[int]) -> int:
-    out = 1
-    for s in sizes:
-        out *= s
-    return out
+def _strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides: the last index is fastest."""
+    return tuple(math.prod(sizes[i + 1:]) for i in range(len(sizes)))
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class JointDistribution:
         object.__setattr__(self, "probs", tuple(self.probs))
         if any(s < 1 for s in self.domain_sizes):
             raise CIError("domain sizes must be at least 1")
-        count = _product(self.domain_sizes)
+        count = math.prod(self.domain_sizes)
         if count > MAX_OUTCOMES:
             raise CapExceeded(f"at most {MAX_OUTCOMES} outcomes are supported")
         if len(self.probs) != count:
@@ -77,10 +84,7 @@ class JointDistribution:
         return self._exact  # type: ignore[attr-defined]
 
     def strides(self) -> tuple[int, ...]:
-        out = [1] * self.n
-        for i in range(self.n - 2, -1, -1):
-            out[i] = out[i + 1] * self.domain_sizes[i + 1]
-        return tuple(out)
+        return _strides(self.domain_sizes)
 
     def outcome(self, index: int) -> tuple[int, ...]:
         vals = []
@@ -134,7 +138,7 @@ def entropy(d: JointDistribution, alpha: VarSet):
     cells = list(d.probs)
     for v in reversed(range(d.n)):
         if v not in alpha:
-            cells = _sum_out(cells, _product(sizes[:v]), sizes[v])
+            cells = _sum_out(cells, math.prod(sizes[:v]), sizes[v])
     return _entropy_of(cells, d.exact)
 
 
@@ -185,7 +189,7 @@ def entropic_table(d: JointDistribution) -> PolymatroidTable:
             f"entropy tables support at most {MAX_MEASURE_VARIABLES} variables"
         )
     sizes = d.domain_sizes
-    outers = [_product(sizes[:v]) for v in range(n)]
+    outers = [math.prod(sizes[:v]) for v in range(n)]
     exact = d.exact
     full = (1 << n) - 1
     values = [Fraction(0) if exact else 0.0] * (1 << n)
@@ -242,7 +246,7 @@ def random_distribution(
     sizes = tuple(domain_sizes) if domain_sizes is not None else (2,) * n
     if len(sizes) != n:
         raise CIError("one domain size per variable is required")
-    count = _product(sizes)
+    count = math.prod(sizes)
     if count > MAX_OUTCOMES:
         raise CapExceeded(f"at most {MAX_OUTCOMES} outcomes are supported")
     rng = random.Random(seed)
@@ -292,8 +296,6 @@ def write_distribution(d: JointDistribution, universe: Universe, path: str) -> N
 
 
 def parse_distribution(lines) -> tuple[JointDistribution, Universe]:
-    from .core import ParseError, _payload_lines  # cycle-free local import
-
     payload = list(_payload_lines(lines))
     if not payload or not payload[0][1].startswith("vars"):
         raise ParseError("distribution files start with a 'vars name:card ...' header")
@@ -308,13 +310,10 @@ def parse_distribution(lines) -> tuple[JointDistribution, Universe]:
         sizes.append(int(card))
     universe = Universe(tuple(names))
     n = len(names)
-    count = _product(sizes)
+    count = math.prod(sizes)
     if count > MAX_OUTCOMES:
         raise CapExceeded(f"at most {MAX_OUTCOMES} outcomes are supported")
-
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = _strides(sizes)
 
     entries: dict[int, object] = {}
     exact = True

@@ -134,7 +134,8 @@ def parity_refutation(
     variable from each side of ``tau`` plus any subset of its remaining
     variables, smallest mask first, and keep the first S with no surviving
     antecedent; the parity's mutual information on ``tau`` itself is then
-    exactly 1.
+    exactly 1.  The table is checked by ``_verify_refutation`` before it is
+    returned.
     """
     for a in tau.x:
         for b in tau.y:
@@ -155,6 +156,7 @@ def parity_refutation(
                 if not survivor:
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
                     table = linear_rank_table(_parity_forms(n, reduced))
+                    _verify_refutation(table, antecedents, tau)
                     return reduced, parity_distribution(n, reduced), table
                 ext = (ext - pool) & pool  # next submask, increasing numeric order
                 if ext == 0:
@@ -374,7 +376,6 @@ def check_marginal(sigma: CISet, tau: CITriple, n: int) -> RelaxationCertificate
             f"uncovered elemental {uncovered!r} admits no parity refutation"
         )
     reduced, dist, table = found
-    _verify_refutation(table, sigma, tau)
     return RelaxationCertificate(
         implied=False,
         kind="marginal",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
 from .polymatroids import PolymatroidTable, is_polymatroid
@@ -52,28 +53,32 @@ class LinearFunctional:
         return cls(items)
 
     @classmethod
-    def cmi(cls, t: CITriple) -> "LinearFunctional":
-        """The four-term mutual-information form of a triple."""
+    def from_terms(cls, terms: Iterable[tuple[int, Fraction]]) -> "LinearFunctional":
+        """Like ``from_dict``, but the coefficients of a repeated mask add up."""
         d: dict[int, Fraction] = {}
-        for mask, c in (
-            (t.z.bits | t.x.bits, _F1),
-            (t.z.bits | t.y.bits, _F1),
-            (t.z.bits | t.x.bits | t.y.bits, -_F1),
-            (t.z.bits, -_F1),
-        ):
+        for mask, c in terms:
             d[mask] = d.get(mask, _F0) + c
         return cls.from_dict(d)
 
     @classmethod
-    def total_cmi(cls, sigma: CISet) -> "LinearFunctional":
-        d: dict[int, Fraction] = {}
-        for t in sigma:
-            for mask, c in cls.cmi(t).coeffs:
-                d[mask] = d.get(mask, _F0) + c
-        return cls.from_dict(d)
+    def cmi(cls, t: CITriple) -> "LinearFunctional":
+        """The four-term mutual-information form of a triple."""
+        return cls.from_terms((
+            (t.z.bits | t.x.bits, _F1),
+            (t.z.bits | t.y.bits, _F1),
+            (t.z.bits | t.x.bits | t.y.bits, -_F1),
+            (t.z.bits, -_F1),
+        ))
 
-    def evaluate(self, table: PolymatroidTable):
-        return sum((table.values[m] * c for m, c in self.coeffs), _F0)
+    @classmethod
+    def total_cmi(cls, sigma: CISet) -> "LinearFunctional":
+        return cls.from_terms(term for t in sigma for term in cls.cmi(t).coeffs)
+
+    def evaluate(self, h):
+        """The value on a table, or on ``h(mask)`` for a function ``h``."""
+        if isinstance(h, PolymatroidTable):
+            h = h.value
+        return sum((h(m) * c for m, c in self.coeffs), _F0)
 
 
 def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:

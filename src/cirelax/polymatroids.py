@@ -13,7 +13,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import CapExceeded, CIError, CISet, CITriple, VarSet, check_fits
+from .core import (
+    CapExceeded,
+    CIError,
+    CISet,
+    CITriple,
+    ParseError,
+    Universe,
+    VarSet,
+    _payload_lines,
+    check_fits,
+)
 
 # The most variables of a rank table or an atom set, whose sizes grow as 2**n.
 MAX_TABLE_VARIABLES = 16
@@ -49,15 +59,43 @@ class PolymatroidTable:
         zy = t.z.bits | t.y.bits
         return v[zx] + v[zy] - v[zx | t.y.bits] - v[t.z.bits]
 
-    def conditional_entropy(self, b: VarSet, a: VarSet):
-        check_fits(a | b, self.n)
-        return self.values[a.bits | b.bits] - self.values[a.bits]
-
     def sigma_value(self, sigma: CISet):
         return sum(self.cmi(t) for t in sigma)
 
     def __repr__(self) -> str:
         return f"PolymatroidTable(n={self.n}, h(full)={self.values[-1]})"
+
+
+def write_polymatroid(table: PolymatroidTable, universe: Universe, path: str) -> None:
+    """The dump format: a ``polymatroid vars NAME ...`` header, then one
+    ``set NAME,... num/den`` line per nonempty subset."""
+    lines = ["polymatroid vars " + " ".join(universe.names)]
+    for mask in range(1, 1 << table.n):
+        v = Fraction(table.values[mask])
+        lines.append(f"set {universe.render_vars(VarSet(mask))} {v.numerator}/{v.denominator}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
+    """Read a ``write_polymatroid`` dump; omitted subsets have value 0."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = list(_payload_lines(fh))
+    if not payload or not payload[0][1].startswith("polymatroid vars "):
+        raise ParseError("table files start with 'polymatroid vars NAME ...'")
+    universe = Universe(tuple(payload[0][1].split()[2:]))
+    values = [Fraction(0)] * (1 << universe.n)
+    for lineno, line in payload[1:]:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "set":
+            raise ParseError(f"line {lineno}: expected 'set NAMES VALUE'")
+        mask = universe.set_of(*parts[1].split(",")).bits
+        num, _, den = parts[2].partition("/")
+        try:
+            values[mask] = Fraction(int(num), int(den)) if den else Fraction(num)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"line {lineno}: bad value {parts[2]!r}") from None
+    return PolymatroidTable(universe.n, tuple(values)), universe
 
 
 def linear_rank_table(forms: Sequence[int]) -> PolymatroidTable:

@@ -7,6 +7,7 @@ import pytest
 
 from cirelax import (
     AtomMeasure,
+    CapExceeded,
     CIError,
     CISet,
     CITriple,
@@ -20,6 +21,7 @@ from cirelax import (
     reduce_antecedents,
     single_atom_polymatroid,
 )
+from cirelax.atoms import MAX_ATOM_VARIABLES
 
 from helpers import (
     all_canonical_triples,
@@ -77,6 +79,10 @@ class TestAtomsOf:
 class TestAtomsOfSet:
     def test_empty_set(self):
         assert not atoms_of_set(CISet(), 3)
+
+    def test_empty_set_past_the_cap_raises(self):
+        with pytest.raises(CapExceeded):
+            atoms_of_set(CISet(), MAX_ATOM_VARIABLES + 1)
 
     def test_union_of_images(self):
         sigma = CISet((T("I(A;B)"), T("I(A;C|B)")))

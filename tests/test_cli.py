@@ -246,6 +246,21 @@ class TestCounterexample:
         )
         assert code == 1 and "no-counterexample" in out
 
+    def test_unverified_parity_is_not_written(self, tmp_path, monkeypatch):
+        from cirelax import implication
+
+        # a copies b, so the "refutation" leaves I(a;b) at 1, not 0
+        monkeypatch.setattr(implication, "_parity_forms", lambda n, tau: (0b10, 0b10, 0b100))
+        sigma = tmp_path / "s.ci"
+        sigma.write_text("I(a;b)\n")
+        out_path = tmp_path / "ce.dist"
+        code, out, err = run(
+            ["counterexample", "--sigma", str(sigma), "--tau", "I(a;b|c)", "--out", str(out_path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: internal check failed: ")
+        assert not out_path.exists()
+
     def test_no_finite_factor_is_unknown_not_implied(self, tmp_path):
         # The exact LP finds no finite factor here, yet neither the atom nor
         # the parity construction refutes it.
@@ -343,6 +358,21 @@ class TestErrorsExit2:
              "I(A;C|D,E,F,G,H,I,J,K,L,M,N)", "--lambda", "1", "--trials", "20"]
         ))
 
+    def test_non_integer_seed(self, sec_sigma, monkeypatch):
+        monkeypatch.setenv("CIRELAX_SEED", "abc")
+        code, out, err = run(
+            ["validate", "--sigma", sec_sigma, "--tau", "I(A;C)", "--lambda", "1"]
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "CIRELAX_SEED" in err
+
+    def test_sigma_error_names_its_line(self, tmp_path):
+        sigma = tmp_path / "s.ci"
+        sigma.write_text("# header\nI(A;A|B)\n")
+        code, out, err = run(["lambda", "--sigma", str(sigma), "--tau", "I(A;B)"])
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith("error: line 2: ")
+
     def test_internal_check_error(self, chain_dag, monkeypatch):
         from cirelax import InternalCheckError, cli
 
@@ -369,6 +399,22 @@ class TestEntropyCommand:
         dist.write_text("vars a:2 b:2\n0 0 1/2\n1 1 1/2\n")
         code, out, _ = run(["entropy", "--dist", str(dist), "--term", "H(a|b)"])
         assert code == 0 and out.strip() == "0.0"
+
+    def test_table_entropies_of_the_collider_refutation(self, collider_dag, tmp_path):
+        # X1 and X2 are fair bits and X3 = X1 xor X2
+        artifact = tmp_path / "refutation.tab"
+        run(["bound", "--kind", "recursive", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
+             "--artifact", str(artifact)])
+        for term, value in (
+            ("H(X1)", "1.0"),
+            ("H(X1|X2)", "1.0"),
+            ("H(X1,X2|X2)", "1.0"),
+            ("H(X1,X2,X3)", "2.0"),
+            ("H(X3|X1,X2)", "0.0"),
+            ("H(X2|X1,X2)", "0.0"),
+        ):
+            code, out, _ = run(["entropy", "--table", str(artifact), "--term", term])
+            assert (code, out) == (0, value + "\n"), term
 
     def test_bad_sum_exits_2(self, tmp_path):
         dist = tmp_path / "bad.dist"

@@ -11,6 +11,7 @@ from cirelax import (
     CIError,
     CITriple,
     JointDistribution,
+    ParseError,
     PolymatroidTable,
     Universe,
     VarSet,
@@ -26,7 +27,12 @@ from cirelax import (
 )
 from cirelax.distributions import parse_distribution, format_distribution
 from cirelax.atoms import MAX_ATOM_VARIABLES
-from cirelax.polymatroids import MAX_TABLE_VARIABLES, linear_rank_table
+from cirelax.polymatroids import (
+    MAX_TABLE_VARIABLES,
+    linear_rank_table,
+    read_polymatroid,
+    write_polymatroid,
+)
 
 from helpers import (
     all_canonical_triples,
@@ -380,6 +386,30 @@ class TestLinearRankTable:
         assert MAX_ATOM_VARIABLES == MAX_TABLE_VARIABLES == 16
         with pytest.raises(CapExceeded):
             linear_rank_table([1 << v for v in range(MAX_TABLE_VARIABLES + 1)])
+
+
+class TestPolymatroidFiles:
+    def test_roundtrip_exact(self, tmp_path):
+        u = Universe(("a", "b", "c"))
+        table = linear_rank_table([0b01, 0b10, 0b11])
+        path = tmp_path / "t.tab"
+        write_polymatroid(table, u, str(path))
+        assert path.read_text().splitlines()[:3] == [
+            "polymatroid vars a b c", "set a 1/1", "set b 1/1"
+        ]
+        assert read_polymatroid(str(path)) == (table, u)
+
+    def test_missing_sets_are_zero_and_bad_lines_raise(self, tmp_path):
+        path = tmp_path / "t.tab"
+        path.write_text("polymatroid vars a b  # header\nset a,b 2\n")
+        table, _ = read_polymatroid(str(path))
+        assert table.values == (0, 0, 0, 2)
+        path.write_text("polymatroid vars a b\nset a 1/0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_polymatroid(str(path))
+        path.write_text("vars a:2\n")
+        with pytest.raises(ParseError):
+            read_polymatroid(str(path))
 
 
 class TestDistributionFiles:
