@@ -12,9 +12,8 @@ failure is witnessed by an explicit one-atom counterexample table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, VarSet, check_fits
+from .core import CapExceeded, CIError, CISet, CITriple, VarSet, check_fits
 from .polymatroids import MAX_TABLE_VARIABLES, PolymatroidTable, linear_rank_table
 
 MAX_ATOM_VARIABLES = MAX_TABLE_VARIABLES
@@ -68,21 +67,6 @@ def implies_positive(sigma: CISet, tau: CITriple, n: int) -> Verdict:
     return Verdict(False, missing.min())
 
 
-def reduce_antecedents(sigma: CISet, tau: CITriple, n: int) -> CISet:
-    """Drop antecedents whose atoms do not meet the consequent's atoms.
-
-    Requires ``implies_positive(sigma, tau, n)``; the reduced set still
-    implies ``tau``.
-    """
-    if not implies_positive(sigma, tau, n).implied:
-        raise CIError("reduce_antecedents requires an implied consequent")
-    tau_atoms = atoms_of(tau, n)
-    kept = CISet(tuple(t for t in sigma if atoms_of(t, n) & tau_atoms))
-    if not implies_positive(kept, tau, n).implied:
-        raise InternalCheckError("antecedent reduction lost the implication")
-    return kept
-
-
 def single_atom_polymatroid(atom_mask: int, n: int) -> PolymatroidTable:
     """The table h(a) = 1 if a meets the atom's positive set else 0.
 
@@ -115,10 +99,6 @@ class AtomMeasure:
         if self.mass[0] != 0:
             raise CIError("the empty positive set carries no mass")
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.mass)
-
     def is_positive(self, tol=0) -> bool:
         return all(v >= -tol for v in self.mass[1:])
 
@@ -146,23 +126,3 @@ def measure_from_table(table: PolymatroidTable) -> AtomMeasure:
     mass[0] = table.values[0]  # zero, of the value's type
     return AtomMeasure(n, tuple(mass))
 
-
-def polymatroid_from_atoms(measure: AtomMeasure) -> PolymatroidTable:
-    """The table h(a) = total mass of atoms meeting a, for non-negative mass.
-
-    Any non-negative atom assignment yields a polymatroid this way.
-    """
-    if not measure.is_positive():
-        raise CIError("atom masses must be non-negative")
-    n = measure.n
-    size = 1 << n
-    full = size - 1
-    f = list(measure.mass)
-    for i in range(n):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit:
-                f[s] += f[s ^ bit]
-    total = f[full]
-    values = tuple(total - f[full ^ a] for a in range(size))
-    return PolymatroidTable(n, values)

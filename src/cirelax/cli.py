@@ -19,6 +19,7 @@ from fractions import Fraction
 from .core import (
     CIError,
     CISet,
+    CITriple,
     InternalCheckError,
     ParseError,
     Universe,
@@ -33,6 +34,7 @@ from .atoms import implies_positive, single_atom_polymatroid
 from .dag import d_separated, read_dag_file
 from .distributions import entropy, read_distribution, write_distribution
 from .implication import (
+    _verify_refutation,
     check_marginal,
     check_recursive,
     parity_refutation,
@@ -53,13 +55,18 @@ def _default_seed() -> int:
         raise ParseError(f"CIRELAX_SEED must be an integer, got {text!r}") from None
 
 
-def _universe_for(sigma_path: str, queries: list[str]) -> tuple[CISet, Universe]:
-    """Antecedents plus a universe covering them and the query names, in
-    order of first appearance."""
+def _universe_for(
+    sigma_path: str, tau_text: str | None
+) -> tuple[CISet, CITriple | None, Universe]:
+    """Antecedents, the parsed ``--tau`` (``None`` when absent) and a
+    universe covering both, in order of first appearance."""
     with open(sigma_path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     texts = [text for _, text in _payload_lines(lines)]
-    return parse_ci_lines(lines, Universe(tuple(collect_names(texts + queries))))
+    queries = [] if tau_text is None else [tau_text]
+    sigma, universe = parse_ci_lines(lines, Universe(tuple(collect_names(texts + queries))))
+    tau = parse_ci_triple(tau_text, universe) if queries else None
+    return sigma, tau, universe
 
 
 def _render_value(v) -> str:
@@ -102,8 +109,7 @@ def _cmd_dsep(args) -> int:
 
 
 def _cmd_implies(args) -> int:
-    sigma, universe = _universe_for(args.sigma, [args.tau])
-    tau = parse_ci_triple(args.tau, universe)
+    sigma, tau, universe = _universe_for(args.sigma, args.tau)
     n = universe.n
     if args.mode == "atoms":
         verdict = implies_positive(sigma, tau, n)
@@ -139,8 +145,7 @@ def _cmd_bound(args) -> int:
     else:
         if args.sigma is None:
             raise CIError("--kind marginal requires --sigma")
-        sigma, universe = _universe_for(args.sigma, [args.tau])
-        tau = parse_ci_triple(args.tau, universe)
+        sigma, tau, universe = _universe_for(args.sigma, args.tau)
         cert = check_marginal(sigma, tau, universe.n)
     print(cert.render(universe))
     if not cert.implied:
@@ -151,8 +156,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    sigma, universe = _universe_for(args.sigma, [args.tau])
-    tau = parse_ci_triple(args.tau, universe)
+    sigma, tau, universe = _universe_for(args.sigma, args.tau)
     lam = optimal_lambda(sigma, tau, universe.n)
     if lam is UNBOUNDED:
         print("lambda=unbounded")
@@ -162,11 +166,9 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    queries = [args.tau] if args.tau else []
-    sigma, universe = _universe_for(args.sigma, queries)
+    sigma, tau, universe = _universe_for(args.sigma, args.tau or None)
     closure = semigraphoid_closure(sigma, universe.n)
-    if args.tau:
-        tau = parse_ci_triple(args.tau, universe)
+    if tau is not None:
         member = tau in closure
         print("IMPLIED" if member else "NOT-IMPLIED")
         print(f"tau={universe.render_triple(tau)}")
@@ -181,11 +183,11 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    sigma, universe = _universe_for(args.sigma, [args.tau])
-    tau = parse_ci_triple(args.tau, universe)
+    sigma, tau, universe = _universe_for(args.sigma, args.tau)
     verdict = implies_positive(sigma, tau, universe.n)
     if not verdict.implied:
         table = single_atom_polymatroid(verdict.witness, universe.n)
+        _verify_refutation(table, sigma, tau)
         write_polymatroid(table, universe, args.out)
         print(f"NOT-IMPLIED witness=atom{universe.render_atom(verdict.witness)}")
         print(f"artifact={args.out} kind=single-atom")
@@ -203,8 +205,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    sigma, universe = _universe_for(args.sigma, [args.tau])
-    tau = parse_ci_triple(args.tau, universe)
+    sigma, tau, universe = _universe_for(args.sigma, args.tau)
     try:
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):

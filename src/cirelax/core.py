@@ -208,10 +208,6 @@ class Universe:
     def n(self) -> int:
         return len(self.names)
 
-    @property
-    def full(self) -> VarSet:
-        return VarSet((1 << self.n) - 1)
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]  # type: ignore[attr-defined]
@@ -311,22 +307,6 @@ def parse_ci_lines(
         except CIError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return CISet(tuple(triples)), universe
-
-
-def read_ci_file(path: str, universe: Universe | None = None) -> tuple[CISet, Universe]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ci_lines(fh, universe)
-
-
-def classify(t: CITriple, n: int) -> frozenset[str]:
-    """Labels for a triple: ``saturated`` and/or ``marginal``, else ``general``."""
-    check_fits(t, n)
-    labels = set()
-    if t.mentioned.bits == (1 << n) - 1:
-        labels.add("saturated")
-    if not t.z:
-        labels.add("marginal")
-    return frozenset(labels) if labels else frozenset({"general"})
 
 
 def elemental_decompose(t: CITriple) -> tuple[CITriple, ...]:

@@ -39,19 +39,7 @@ class Dag:
                 raise CIError(f"parent index out of range for node {i}")
             if i in ps:
                 raise CIError(f"node {i} cannot be its own parent")
-        self.topological_order()  # raises on cycles
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def universe(self) -> Universe:
-        return Universe(self.names)
-
-    def topological_order(self) -> tuple[int, ...]:
-        """Kahn's algorithm, emitting the smallest ready index first."""
-        n = self.n
+        # Kahn's algorithm, emitting the smallest ready index first
         remaining = set(range(n))
         placed = VarSet(0)
         order: list[int] = []
@@ -63,7 +51,20 @@ class Dag:
             remaining.remove(v)
             placed |= VarSet.of(v)
             order.append(v)
-        return tuple(order)
+        object.__setattr__(self, "_order", tuple(order))
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @property
+    def universe(self) -> Universe:
+        return Universe(self.names)
+
+    def topological_order(self) -> tuple[int, ...]:
+        """The order Kahn's algorithm found at construction, smallest ready
+        index first."""
+        return self._order  # type: ignore[attr-defined]
 
     def ancestral_closure(self, vs: VarSet) -> VarSet:
         """``vs`` together with all of its ancestors."""

@@ -208,6 +208,39 @@ def entropic_table(d: JointDistribution) -> PolymatroidTable:
     return PolymatroidTable(n, tuple(values))
 
 
+def linear_distribution(forms: Sequence[int]) -> JointDistribution:
+    """The exact law of binary variables that are XORs of independent fair
+    bits: variable v is the XOR of the bits set in ``forms[v]``.
+
+    Every assignment of the bits the forms use is equally likely, so each
+    outcome's probability is the share of those assignments that hit it.
+    The assignments are visited in Gray-code order, one bit flip apiece.
+    """
+    n = len(forms)
+    used = VarSet(0)
+    for form in forms:
+        used |= VarSet(form)
+    # columns[j]: the outcome index bits that the j-th used bit flips; variable
+    # v sits at index bit n-1-v (row-major layout, last index fastest)
+    columns = [sum(1 << (n - 1 - v) for v in range(n) if forms[v] >> b & 1) for b in used]
+    hits = [1] + [0] * ((1 << n) - 1)  # the all-zero assignment
+    index = 0
+    for step in range(1, 1 << len(columns)):
+        index ^= columns[(step & -step).bit_length() - 1]
+        hits[index] += 1
+    law = {h: Fraction(h, 1 << len(columns)) for h in set(hits)}
+    return JointDistribution((2,) * n, tuple(map(law.__getitem__, hits)))
+
+
+def _parity_forms(n: int, tau: CITriple) -> tuple[int, ...]:
+    """Variable v is fair bit v, except tau's anchor, the lowest variable of
+    ``tau.x``: the XOR of the bits of tau's other variables."""
+    anchor = tau.x.min()
+    forms = [1 << v for v in range(n)]
+    forms[anchor] = (tau.mentioned - VarSet.of(anchor)).bits
+    return tuple(forms)
+
+
 def parity_distribution(n: int, tau: CITriple) -> JointDistribution:
     """Binary distribution where the lowest variable of ``tau.x`` is the
     parity of the other variables of ``tau`` and everything else is an
@@ -218,20 +251,7 @@ def parity_distribution(n: int, tau: CITriple) -> JointDistribution:
     do not both meet them, gets exactly 0.
     """
     check_fits(tau, n)
-    anchor = tau.x.min()
-    # variable i sits at index bit n-1-i (row-major layout, last index fastest)
-    anchor_bit = 1 << (n - 1 - anchor)
-    rest_bits = 0
-    for i in tau.mentioned - VarSet.of(anchor):
-        rest_bits |= 1 << (n - 1 - i)
-    p = Fraction(1, 1 << (n - 1))
-    zero = Fraction(0)
-    probs = []
-    for index in range(1 << n):
-        wanted = (index & rest_bits).bit_count() & 1
-        got = 1 if index & anchor_bit else 0
-        probs.append(p if got == wanted else zero)
-    return JointDistribution((2,) * n, tuple(probs))
+    return linear_distribution(_parity_forms(n, tau))
 
 
 def random_distribution(

@@ -37,7 +37,9 @@ from .core import (
     elemental_decompose,
 )
 from .dag import Dag, active_trail, recursive_basis
-from .distributions import MAX_MEASURE_VARIABLES, JointDistribution, parity_distribution
+from .distributions import (
+    MAX_MEASURE_VARIABLES, JointDistribution, _parity_forms, linear_distribution
+)
 from .polymatroids import PolymatroidTable, linear_rank_table
 
 # bench/tracing.py times the layers by swapping these names in this module,
@@ -155,22 +157,14 @@ def parity_refutation(
                         break
                 if not survivor:
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
-                    table = linear_rank_table(_parity_forms(n, reduced))
+                    forms = _parity_forms(n, reduced)
+                    table = linear_rank_table(forms)
                     _verify_refutation(table, antecedents, tau)
-                    return reduced, parity_distribution(n, reduced), table
+                    return reduced, linear_distribution(forms), table
                 ext = (ext - pool) & pool  # next submask, increasing numeric order
                 if ext == 0:
                     break
     return None
-
-
-def _parity_forms(n: int, tau: CITriple) -> tuple[int, ...]:
-    """The forms of ``parity_distribution(n, tau)``: variable v is fair bit
-    v, except tau's anchor, the XOR of the bits of tau's other variables."""
-    anchor = tau.x.min()
-    forms = [1 << v for v in range(n)]
-    forms[anchor] = (tau.mentioned - VarSet.of(anchor)).bits
-    return tuple(forms)
 
 
 def _trail_refutation(dag: Dag, tau: CITriple) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -468,7 +462,6 @@ class ValidationReport:
     trials: int
     max_violation: float
     worst_seed: int
-    tolerance: float = FLOAT_TOL
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -186,6 +186,26 @@ def polymatroid_by_definition(table, tol=0) -> bool:
     return True
 
 
+def polymatroid_from_atoms(measure) -> PolymatroidTable:
+    """The table h(a) = total mass of atoms meeting a, for a non-negative
+    ``AtomMeasure``.  Any non-negative atom assignment yields a polymatroid
+    this way, so this draws cone points independently of the deciders."""
+    if not measure.is_positive():
+        raise CIError("atom masses must be non-negative")
+    n = measure.n
+    size = 1 << n
+    full = size - 1
+    f = list(measure.mass)
+    for i in range(n):
+        bit = 1 << i
+        for s in range(size):
+            if s & bit:
+                f[s] += f[s ^ bit]
+    total = f[full]
+    values = tuple(total - f[full ^ a] for a in range(size))
+    return PolymatroidTable(n, values)
+
+
 def entropy_by_definition(d, alpha: VarSet):
     """Independent entropy oracle: one pass over the joint, keyed by the
     outcome's values on ``alpha``.  Exact tables need dyadic marginals and

@@ -17,8 +17,6 @@ from cirelax import (
     implies_positive,
     is_polymatroid,
     measure_from_table,
-    polymatroid_from_atoms,
-    reduce_antecedents,
     single_atom_polymatroid,
 )
 from cirelax.atoms import MAX_ATOM_VARIABLES
@@ -27,6 +25,7 @@ from helpers import (
     all_canonical_triples,
     atomset_as_frozensets,
     brute_atoms,
+    polymatroid_from_atoms,
     random_ci_set,
     random_triple,
 )
@@ -119,34 +118,6 @@ class TestImpliesPositive:
             extra = CISet(tuple(sigma) + (random_triple(n, rng),))
             if implies_positive(sigma, tau, n).implied:
                 assert implies_positive(extra, tau, n).implied
-
-
-class TestReduceAntecedents:
-    def test_drops_disjoint_image(self):
-        sigma = CISet((T("I(A;B)"), T("I(B;C|A)")))
-        reduced = reduce_antecedents(sigma, T("I(A;B)"), 3)
-        assert list(reduced) == [T("I(A;B)")]
-
-    def test_keeps_everything_that_meets_the_image(self):
-        sigma = CISet((T("I(A;B)"), T("I(A;C)")))
-        assert reduce_antecedents(sigma, T("I(A;B)"), 3) == sigma
-
-    def test_requires_implication(self):
-        with pytest.raises(CIError):
-            reduce_antecedents(CISet(), T("I(A;B)"), 3)
-
-    def test_still_implies_on_random_instances(self):
-        rng = random.Random(29)
-        checked = 0
-        while checked < 1000:
-            n = rng.randrange(2, 6)
-            sigma = random_ci_set(n, rng, rng.randrange(1, 5))
-            tau = random_triple(n, rng)
-            if not implies_positive(sigma, tau, n).implied:
-                continue
-            checked += 1
-            reduced = reduce_antecedents(sigma, tau, n)
-            assert implies_positive(reduced, tau, n).implied
 
 
 class TestSingleAtomPolymatroid:

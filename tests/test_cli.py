@@ -261,6 +261,24 @@ class TestCounterexample:
         assert err.startswith("error: internal check failed: ")
         assert not out_path.exists()
 
+    def test_unverified_single_atom_is_not_written(self, tmp_path, monkeypatch):
+        from cirelax import cli
+        from cirelax.atoms import single_atom_polymatroid
+
+        # atom {a,b} is covered by I(a;b|c), so the "refutation" leaves it at 1
+        monkeypatch.setattr(
+            cli, "single_atom_polymatroid", lambda atom, n: single_atom_polymatroid(0b011, n)
+        )
+        sigma = tmp_path / "s.ci"
+        sigma.write_text("I(a;b|c)\n")
+        out_path = tmp_path / "ce.tab"
+        code, out, err = run(
+            ["counterexample", "--sigma", str(sigma), "--tau", "I(a;b)", "--out", str(out_path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: internal check failed: ")
+        assert not out_path.exists()
+
     def test_no_finite_factor_is_unknown_not_implied(self, tmp_path):
         # The exact LP finds no finite factor here, yet neither the atom nor
         # the parity construction refutes it.

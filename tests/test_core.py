@@ -11,7 +11,6 @@ from cirelax import (
     ParseError,
     Universe,
     VarSet,
-    classify,
     elemental_decompose,
     entropic_table,
     parse_ci_lines,
@@ -102,18 +101,6 @@ class TestCISet:
         assert t in CISet((t,))
 
 
-class TestClassify:
-    def test_saturated_and_marginal(self):
-        t = parse_ci_triple("I(A;B,C)", U3)
-        assert classify(t, 3) == frozenset({"saturated", "marginal"})
-
-    def test_saturated_only(self):
-        assert classify(parse_ci_triple("I(A;B|C)", U3), 3) == frozenset({"saturated"})
-
-    def test_general(self):
-        assert classify(parse_ci_triple("I(A;B|C)", U3), 4) == frozenset({"general"})
-
-
 class TestElementalDecompose:
     def test_already_elemental(self):
         t = parse_ci_triple("I(A;B|C)", U3)
@@ -150,7 +137,8 @@ class TestElementalDecompose:
         # the same identity with zero tolerance on exact random tables
         from fractions import Fraction
 
-        from cirelax import AtomMeasure, polymatroid_from_atoms
+        from cirelax import AtomMeasure
+        from helpers import polymatroid_from_atoms
 
         rng = random.Random(27)
         for trial in range(50):

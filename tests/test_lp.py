@@ -269,7 +269,8 @@ class TestOptimalLambda:
         # lambda* maximizes I(tau)/I(sigma) over the cone, so no sampled
         # cone point may exceed it; points come from random non-negative
         # atom masses, an independent construction
-        from cirelax import AtomMeasure, polymatroid_from_atoms
+        from cirelax import AtomMeasure
+        from helpers import polymatroid_from_atoms
 
         rng = random.Random(303)
         for trial in range(30):

@@ -21,11 +21,12 @@ from cirelax import (
     entropy,
     is_polymatroid,
     parity_distribution,
+    parity_refutation,
     parse_ci_triple,
     random_distribution,
     single_atom_polymatroid,
 )
-from cirelax.distributions import parse_distribution, format_distribution
+from cirelax.distributions import format_distribution, linear_distribution, parse_distribution
 from cirelax.atoms import MAX_ATOM_VARIABLES
 from cirelax.polymatroids import (
     MAX_TABLE_VARIABLES,
@@ -39,6 +40,7 @@ from helpers import (
     entropic_table_by_definition,
     gf2_rank,
     polymatroid_by_definition,
+    random_ci_set,
     random_triple,
 )
 
@@ -234,6 +236,31 @@ class TestParityDistribution:
                 covers = s.issubset(sigma.mentioned)
                 if covers and (not sigma.x & s or not sigma.y & s):
                     assert table.cmi(sigma) == 0
+
+
+class TestLinearDistribution:
+    def test_entropies_are_the_rank_table(self):
+        # forms over up to n + 2 source bits, so some bits go unused
+        rng = random.Random(263)
+        for n in range(0, 7):
+            for _ in range(6):
+                forms = [rng.randrange(1 << rng.randrange(1, n + 3)) for _ in range(n)]
+                d = linear_distribution(forms)
+                assert d.exact and entropic_table(d) == linear_rank_table(forms)
+
+    def test_parity_refutation_ships_the_law_of_its_table(self):
+        rng = random.Random(264)
+        checked = 0
+        for _ in range(200):
+            n = rng.randrange(2, 7)
+            sigma = random_ci_set(n, rng, rng.randrange(0, 4))
+            tau = random_triple(n, rng)
+            found = parity_refutation(sigma, tau, n)
+            if found is not None:
+                _, dist, table = found
+                assert entropic_table(dist) == table
+                checked += 1
+        assert checked > 50
 
 
 class TestAtomMeasure:

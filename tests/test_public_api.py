@@ -1,0 +1,43 @@
+"""The package's public names: each export resolves and is listed once,
+and the names cut from the API stay gone."""
+
+import dataclasses
+import importlib
+
+import pytest
+
+import cirelax
+
+DELETED = (
+    ("cirelax", "classify"),
+    ("cirelax", "polymatroid_from_atoms"),
+    ("cirelax", "read_ci_file"),
+    ("cirelax", "reduce_antecedents"),
+    ("cirelax.atoms", "polymatroid_from_atoms"),
+    ("cirelax.atoms", "reduce_antecedents"),
+    ("cirelax.core", "classify"),
+    ("cirelax.core", "read_ci_file"),
+)
+
+
+def test_every_export_resolves():
+    missing = [name for name in cirelax.__all__ if not hasattr(cirelax, name)]
+    assert missing == []
+
+
+def test_no_export_is_listed_twice():
+    assert len(set(cirelax.__all__)) == len(cirelax.__all__)
+
+
+@pytest.mark.parametrize("module, name", DELETED)
+def test_deleted_name_is_not_importable(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+
+
+def test_deleted_members_are_gone():
+    assert not hasattr(cirelax.Universe(("a",)), "full")
+    assert not hasattr(cirelax.AtomMeasure(1, (0, 1)), "exact")
+    fields = {f.name for f in dataclasses.fields(cirelax.ValidationReport)}
+    assert "tolerance" not in fields
