@@ -32,7 +32,7 @@ from .core import (
 )
 from .atoms import implies_positive, single_atom_polymatroid
 from .dag import d_separated, read_dag_file
-from .distributions import entropy, read_distribution, write_distribution
+from .distributions import entropy, linear_distribution, read_distribution, write_distribution
 from .implication import (
     _verify_refutation,
     check_marginal,
@@ -194,8 +194,8 @@ def _cmd_counterexample(args) -> int:
         return 0
     found = parity_refutation(sigma, tau, universe.n)
     if found is not None:
-        reduced, dist, _table = found
-        write_distribution(dist, universe, args.out)
+        reduced, forms = found
+        write_distribution(linear_distribution(forms), universe, args.out)
         print(f"NOT-IMPLIED witness={universe.render_triple(reduced)}")
         print(f"artifact={args.out} kind=parity")
         return 0

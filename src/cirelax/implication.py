@@ -5,25 +5,27 @@ consequent follows from the CI basis of a DAG (via d-separation) and, when
 it does, certifies the bound h(tau) <= h(basis) over every polymatroid.
 ``check_marginal`` decides implication from unconditioned antecedents and
 certifies h(tau) <= |X||Y| * h(antecedents).  Every negative verdict ships
-an executable refutation table with h(antecedents) = 0 and h(tau) = 1,
-verified exactly before the certificate is returned.
+a refutation with h(antecedents) = 0 and h(tau) = 1, verified exactly
+before the certificate is returned.
 
 Every refutation is a tuple of GF(2) linear forms, one per variable, each
 variable being the XOR of some independent fair bits.  A marginal query is
 refuted by a parity, which makes its anchor the XOR of fresh bits.  A
 d-connected recursive query is refuted along one active trail: each trail
 node is a fresh bit or the XOR of its trail parents, and each collider is
-copied down to the conditioning set (Geiger, Verma & Pearl 1990).  The
-shipped table holds the exact GF(2) ranks of the forms.  Ranks of linear
-forms of uniform bits are entropies, so the table is a polymatroid by
-theorem (Yeung, *Information Theory and Network Coding*, ch. 15), and
-verifying it only takes the CI terms of the query.
+copied down to the conditioning set (Geiger, Verma & Pearl 1990).  Ranks
+of linear forms of uniform bits are entropies, so the ranks of the forms
+are a polymatroid by theorem (Yeung, *Information Theory and Network
+Coding*, ch. 15).  Verifying a refutation therefore only ranks the masks
+that the query's CI terms name, four per term, and builds no 2^n table;
+the table and the distribution of the forms are built when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     CapExceeded,
@@ -40,7 +42,7 @@ from .dag import Dag, active_trail, recursive_basis
 from .distributions import (
     MAX_MEASURE_VARIABLES, JointDistribution, _parity_forms, linear_distribution
 )
-from .polymatroids import PolymatroidTable, linear_rank_table
+from .polymatroids import LinearRanks, PolymatroidTable, linear_rank_table
 
 # bench/tracing.py times the layers by swapping these names in this module,
 # as it does ``parity_refutation`` below, so they stay attributes of it even
@@ -61,9 +63,13 @@ class RelaxationCertificate:
     """An auditable verdict for one implication query.
 
     Positive verdicts carry the approximation factor ``lam`` and the
-    evidence that justifies it; negative verdicts carry a witness plus an
-    exact refutation table (and, for parity refutations, the distribution
-    it came from; for trail refutations, the trail).
+    evidence that justifies it.  Negative verdicts carry a witness and the
+    refutation's GF(2) forms, one per variable (plus the trail, for trail
+    refutations, or the reduced parity triple, for parity ones).  The
+    forms' exact rank table ``refutation_table`` and, for parity
+    refutations, their law ``refutation_distribution`` are derived from
+    the forms on first read and cached; being pure functions of the forms,
+    a race between threads can only compute them twice.
     """
 
     implied: bool
@@ -77,14 +83,27 @@ class RelaxationCertificate:
     refutation_kind: str = ""  # "trail" | "parity"
     refutation_trail: tuple[int, ...] = ()
     refutation_parity: CITriple | None = None
-    refutation_table: PolymatroidTable | None = field(default=None, compare=False)
-    refutation_distribution: JointDistribution | None = field(default=None, compare=False)
+    refutation_forms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.implied and self.lam is None:
             raise InternalCheckError("implied certificates must carry lambda")
-        if not self.implied and self.refutation_table is None:
+        if not self.implied and not self.refutation_forms:
             raise InternalCheckError("negative certificates must carry a refutation")
+
+    @cached_property
+    def refutation_table(self) -> PolymatroidTable | None:
+        """h(A) = GF(2) rank of the forms of A, for every subset A."""
+        if self.implied:
+            return None
+        return linear_rank_table(self.refutation_forms)
+
+    @cached_property
+    def refutation_distribution(self) -> JointDistribution | None:
+        """The exact law of the forms, for parity refutations."""
+        if self.refutation_kind != "parity":
+            return None
+        return linear_distribution(self.refutation_forms)
 
     def render(self, universe: Universe) -> str:
         lines = []
@@ -110,13 +129,16 @@ class RelaxationCertificate:
         return "\n".join(lines)
 
 
-def _verify_refutation(table: PolymatroidTable, antecedents: CISet, tau: CITriple) -> None:
+def _verify_refutation(
+    table: PolymatroidTable | LinearRanks, antecedents: CISet, tau: CITriple
+) -> None:
     """A refutation must be a polymatroid with h(sigma)=0 and h(tau)=1.
 
-    ``table`` must be a ``linear_rank_table``: exact integer GF(2) ranks of
-    linear forms of fair bits, which are entropies and hence a polymatroid
-    (Yeung, ch. 15).  So only the CI terms are checked, four entries each,
-    with no scan of the 2^n table.
+    ``table`` must hold exact integer GF(2) ranks of linear forms of fair
+    bits: a ``LinearRanks`` view of the forms, or a table built by
+    ``linear_rank_table``.  Such ranks are entropies and hence a
+    polymatroid (Yeung, ch. 15).  So only the CI terms are checked, four
+    ranks each, read through ``cmi``; a view computes just those ranks.
     """
     for sigma in antecedents:
         if table.cmi(sigma) != 0:
@@ -127,17 +149,18 @@ def _verify_refutation(table: PolymatroidTable, antecedents: CISet, tau: CITripl
 
 def parity_refutation(
     antecedents: CISet, tau: CITriple, n: int
-) -> tuple[CITriple, JointDistribution, PolymatroidTable] | None:
+) -> tuple[CITriple, tuple[int, ...]] | None:
     """Search for a sub-triple of ``tau`` whose parity distribution kills
-    every antecedent.
+    every antecedent; returns it with the GF(2) forms of that parity.
 
     A parity construction over the variable set S zeroes a term (X;Y|Z)
     unless the term mentions all of S and both X and Y meet S.  We pick one
     variable from each side of ``tau`` plus any subset of its remaining
     variables, smallest mask first, and keep the first S with no surviving
     antecedent; the parity's mutual information on ``tau`` itself is then
-    exactly 1.  The table is checked by ``_verify_refutation`` before it is
-    returned.
+    exactly 1.  The forms' ranks are checked by ``_verify_refutation``
+    before they are returned; ``linear_rank_table`` and
+    ``linear_distribution`` turn them into a table or a distribution.
     """
     for a in tau.x:
         for b in tau.y:
@@ -158,9 +181,8 @@ def parity_refutation(
                 if not survivor:
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
                     forms = _parity_forms(n, reduced)
-                    table = linear_rank_table(forms)
-                    _verify_refutation(table, antecedents, tau)
-                    return reduced, linear_distribution(forms), table
+                    _verify_refutation(LinearRanks(forms), antecedents, tau)
+                    return reduced, forms
                 ext = (ext - pool) & pool  # next submask, increasing numeric order
                 if ext == 0:
                     break
@@ -261,8 +283,7 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
             source="d-separation",
         )
     trail, forms = _trail_refutation(dag, tau)
-    table = linear_rank_table(forms)
-    _verify_refutation(table, recursive_basis(dag), tau)
+    _verify_refutation(LinearRanks(forms), recursive_basis(dag), tau)
     return RelaxationCertificate(
         implied=False,
         kind="recursive",
@@ -270,7 +291,7 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
         witness_triple=tau,
         refutation_kind="trail",
         refutation_trail=trail,
-        refutation_table=table,
+        refutation_forms=forms,
     )
 
 
@@ -369,7 +390,7 @@ def check_marginal(sigma: CISet, tau: CITriple, n: int) -> RelaxationCertificate
         raise InternalCheckError(
             f"uncovered elemental {uncovered!r} admits no parity refutation"
         )
-    reduced, dist, table = found
+    reduced, forms = found
     return RelaxationCertificate(
         implied=False,
         kind="marginal",
@@ -377,8 +398,7 @@ def check_marginal(sigma: CISet, tau: CITriple, n: int) -> RelaxationCertificate
         witness_triple=uncovered,
         refutation_kind="parity",
         refutation_parity=reduced,
-        refutation_distribution=dist,
-        refutation_table=table,
+        refutation_forms=forms,
     )
 
 

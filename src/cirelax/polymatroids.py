@@ -138,6 +138,45 @@ def linear_rank_table(forms: Sequence[int]) -> PolymatroidTable:
     return PolymatroidTable(n, tuple(levels[r] for r in ranks))
 
 
+class LinearRanks:
+    """The entries of ``linear_rank_table(forms)``, each ranked on demand.
+
+    ``value(mask)`` is the GF(2) rank of the mask's forms, at most n
+    reduction steps per form, so checking a CI term costs four ranks and
+    no 2^n table.  The same cap as the table applies: more than
+    ``MAX_TABLE_VARIABLES`` forms raise ``CapExceeded``, so the table of
+    any view can be built.
+    """
+
+    def __init__(self, forms: Sequence[int]) -> None:
+        if len(forms) > MAX_TABLE_VARIABLES:
+            raise CapExceeded(f"rank tables support at most {MAX_TABLE_VARIABLES} variables")
+        self.n = len(forms)
+        self.forms = tuple(forms)
+
+    def value(self, mask: int) -> int:
+        rest = mask
+        pivots: dict[int, int] = {}  # leading bit length -> basis form
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = self.forms[low.bit_length() - 1]
+            while x:
+                lead = x.bit_length()
+                if lead not in pivots:
+                    pivots[lead] = x
+                    break
+                x ^= pivots[lead]
+        return len(pivots)
+
+    def cmi(self, t: CITriple) -> int:
+        """Conditional mutual information of (x;y|z), from four ranks."""
+        check_fits(t, self.n)
+        zx = t.z.bits | t.x.bits
+        zy = t.z.bits | t.y.bits
+        return self.value(zx) + self.value(zy) - self.value(zx | t.y.bits) - self.value(t.z.bits)
+
+
 def is_polymatroid(table: PolymatroidTable, tol=0) -> bool:
     """Whether the table is normalized, monotone, and submodular.
 

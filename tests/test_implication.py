@@ -30,9 +30,11 @@ from cirelax import (
     tightness_family,
     validate_bound,
 )
+from cirelax import implication
 from cirelax.core import collect_names
+from cirelax.distributions import linear_distribution
 from cirelax.implication import _verify_refutation
-from cirelax.polymatroids import linear_rank_table
+from cirelax.polymatroids import LinearRanks, linear_rank_table
 
 from helpers import (
     elemental_queries,
@@ -178,6 +180,55 @@ class TestCheckRecursive:
         assert time.perf_counter() - start < 0.5
 
 
+class TestRefutationsFromForms:
+    """Verdicts rank the refutation's forms on the CI terms only; the 2^n
+    table and the distribution are built when a caller first reads them."""
+
+    def test_decisions_build_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2^n object was built while deciding")
+
+        monkeypatch.setattr(implication, "linear_rank_table", refuse)
+        monkeypatch.setattr(implication, "linear_distribution", refuse)
+        rng = random.Random(139)
+        shipped = []
+        for n in range(5, 17):
+            found = 0
+            while found < (1 if n > 12 else 3):
+                dag = random_dag(n, rng, edge_prob=0.3)
+                tau = random_triple(n, rng)
+                cert = check_recursive(dag, tau)
+                if not cert.implied:
+                    found += 1
+                    shipped.append((cert, recursive_basis(dag)))
+        refuted = 0
+        while refuted < 30:
+            n = rng.randrange(3, 9)
+            sigma = random_marginal_set(n, rng, rng.randrange(1, 4))
+            cert = check_marginal(sigma, random_triple(n, rng), n)
+            if not cert.implied:
+                refuted += 1
+                shipped.append((cert, sigma))
+        for cert, sigma in shipped:
+            ranks = LinearRanks(cert.refutation_forms)
+            assert all(ranks.cmi(s) == 0 for s in sigma) and ranks.cmi(cert.tau) == 1
+        monkeypatch.undo()
+        for cert, _ in shipped:
+            assert cert.refutation_table == linear_rank_table(cert.refutation_forms)
+            if cert.refutation_kind == "parity":
+                want = linear_distribution(cert.refutation_forms)
+                assert cert.refutation_distribution == want
+            else:
+                assert cert.refutation_distribution is None
+
+    def test_refuted_marginal_past_the_table_cap_raises_at_once(self):
+        u = Universe(tuple(f"v{i}" for i in range(17)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            check_marginal(CISet((T("I(v0;v1)", u),)), T("I(v0;v16)", u), 17)
+        assert time.perf_counter() - start < 0.5
+
+
 class TestVerifyRefutation:
     def test_rejects_forms_that_leave_an_antecedent(self):
         # X1 = X2 = one shared bit keeps I(X1;X2|X3) = 1 but also I(X1;X2) = 1
@@ -320,7 +371,7 @@ class TestParityRefutationSearch:
             found += 1
             got = parity_refutation(sigma, tau, n)
             assert got is not None
-            _, _, table = got
+            table = linear_rank_table(got[1])
             assert all(table.cmi(s) == 0 for s in sigma)
             assert table.cmi(tau) == 1
 
@@ -441,7 +492,7 @@ class TestExactFromApproximate:
         u = Universe(("a", "b", "c"))
         sigma = CISet((T("I(a;b)", u),))
         table = entropic_table(
-            parity_refutation(sigma, T("I(a;b|c)", u), 3)[1]
+            linear_distribution(parity_refutation(sigma, T("I(a;b|c)", u), 3)[1])
         )
         assert table.sigma_value(sigma) == 0
         assert table.cmi(T("I(a;b|c)", u)) == 1

@@ -30,6 +30,7 @@ from cirelax.distributions import format_distribution, linear_distribution, pars
 from cirelax.atoms import MAX_ATOM_VARIABLES
 from cirelax.polymatroids import (
     MAX_TABLE_VARIABLES,
+    LinearRanks,
     linear_rank_table,
     read_polymatroid,
     write_polymatroid,
@@ -257,7 +258,7 @@ class TestLinearDistribution:
             tau = random_triple(n, rng)
             found = parity_refutation(sigma, tau, n)
             if found is not None:
-                _, dist, table = found
+                dist, table = linear_distribution(found[1]), linear_rank_table(found[1])
                 assert entropic_table(dist) == table
                 checked += 1
         assert checked > 50
@@ -413,6 +414,49 @@ class TestLinearRankTable:
         assert MAX_ATOM_VARIABLES == MAX_TABLE_VARIABLES == 16
         with pytest.raises(CapExceeded):
             linear_rank_table([1 << v for v in range(MAX_TABLE_VARIABLES + 1)])
+
+
+def awkward_forms(n: int, rng: random.Random) -> list[int]:
+    """Forms over up to n + 4 source bits, with zero and repeated forms."""
+    sources = rng.randrange(1, n + 5)
+    forms = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.2:
+            forms.append(0)
+        elif kind < 0.4 and forms:
+            forms.append(rng.choice(forms))
+        else:
+            forms.append(rng.randrange(1 << sources))
+    return forms
+
+
+class TestLinearRanks:
+    def test_matches_rank_and_table_per_mask(self):
+        rng = random.Random(265)
+        for n in range(0, 11):
+            for _ in range(3):
+                forms = awkward_forms(n, rng)
+                ranks = LinearRanks(forms)
+                table = linear_rank_table(forms)
+                for mask in range(1 << n):
+                    chosen = [forms[v] for v in range(n) if mask >> v & 1]
+                    assert ranks.value(mask) == gf2_rank(chosen) == table.values[mask]
+
+    def test_cmi_matches_table(self):
+        rng = random.Random(266)
+        for n in range(2, 9):
+            forms = awkward_forms(n, rng)
+            ranks, table = LinearRanks(forms), linear_rank_table(forms)
+            for t in all_canonical_triples(n):
+                assert ranks.cmi(t) == table.cmi(t)
+            with pytest.raises(CIError):
+                ranks.cmi(CITriple(VarSet.of(0), VarSet.of(n)))
+
+    def test_capped_like_the_table(self):
+        with pytest.raises(CapExceeded):
+            LinearRanks([1 << v for v in range(MAX_TABLE_VARIABLES + 1)])
+        assert LinearRanks([1 << v for v in range(MAX_TABLE_VARIABLES)]).value((1 << 16) - 1) == 16
 
 
 class TestPolymatroidFiles:
