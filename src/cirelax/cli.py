@@ -4,8 +4,13 @@ Every command is deterministic given its inputs and seed, prints a
 line-oriented report with stable field order, and exits 0 for a positive
 verdict, 1 for a negative one, and 2 on any usage or input error or failed
 internal check, so that a crash never reads as a negative verdict.
-``counterexample`` exits 0 when it wrote a counterexample and 1 when it
-found none.  The environment variable ``CIRELAX_SEED`` overrides the
+The input picks each verdict's engine: ``bound`` runs ``check_recursive``
+on ``--dag`` and ``check_marginal`` on ``--sigma``; ``implies`` runs
+``check_marginal`` on marginal antecedents, else the exact LP up to
+``MAX_LP_VARIABLES`` variables, else a verified refutation, and exits 2
+with ``UNKNOWN`` when none applies.  Exit 1 from ``counterexample`` (none
+found) or ``closure --tau`` (not in the incomplete closure) is no
+refutation.  The environment variable ``CIRELAX_SEED`` overrides the
 default seed.
 """
 
@@ -30,7 +35,7 @@ from .core import (
     parse_ci_lines,
     parse_ci_triple,
 )
-from .atoms import implies_positive, single_atom_polymatroid
+from .atoms import implies_positive
 from .dag import d_separated, read_dag_file
 from .distributions import entropy, linear_distribution, read_distribution, write_distribution
 from .implication import (
@@ -41,10 +46,11 @@ from .implication import (
     semigraphoid_closure,
     validate_bound,
 )
-from .lp import UNBOUNDED, LinearFunctional, optimal_lambda
-from .polymatroids import read_polymatroid, write_polymatroid
+from .lp import MAX_LP_VARIABLES, UNBOUNDED, LinearFunctional, optimal_lambda
+from .polymatroids import linear_rank_table, read_polymatroid, write_polymatroid
 
 DEFAULT_ARTIFACT = "refutation.out"
+ONE_INPUT_OF = {"bound": ("dag", "sigma"), "entropy": ("dist", "table")}
 
 
 def _default_seed() -> int:
@@ -92,11 +98,30 @@ def _parse_measure_term(text: str, universe: Universe) -> LinearFunctional:
     raise ParseError(f"expected H(...) or I(...), got {text!r}")
 
 
-def _write_refutation(cert, universe: Universe, path: str) -> None:
-    if cert.refutation_kind == "parity":
-        write_distribution(cert.refutation_distribution, universe, path)
+def _write_refutation(kind: str, forms: tuple[int, ...], universe: Universe, path: str) -> None:
+    if kind == "parity":
+        write_distribution(linear_distribution(forms), universe, path)
     else:
-        write_polymatroid(cert.refutation_table, universe, path)
+        write_polymatroid(linear_rank_table(forms), universe, path)
+
+
+def _refutation(
+    sigma: CISet, tau: CITriple, universe: Universe
+) -> tuple[str, str, tuple[int, ...]] | None:
+    """A verified single-atom, else parity, refutation: its verdict line,
+    kind and GF(2) forms, or ``None``, which is no proof of implication."""
+    n = universe.n
+    verdict = implies_positive(sigma, tau, n)
+    if not verdict.implied:
+        forms = tuple(verdict.witness >> v & 1 for v in range(n))
+        _verify_refutation(forms, sigma, tau)
+        atom = universe.render_atom(verdict.witness)
+        return f"NOT-IMPLIED witness=atom{atom}", "single-atom", forms
+    found = parity_refutation(sigma, tau, n)
+    if found is None:
+        return None
+    reduced, forms = found
+    return f"NOT-IMPLIED witness={universe.render_triple(reduced)}", "parity", forms
 
 
 def _cmd_dsep(args) -> int:
@@ -111,46 +136,33 @@ def _cmd_dsep(args) -> int:
 def _cmd_implies(args) -> int:
     sigma, tau, universe = _universe_for(args.sigma, args.tau)
     n = universe.n
-    if args.mode == "atoms":
-        verdict = implies_positive(sigma, tau, n)
-        if verdict.implied:
-            print("IMPLIED")
-        else:
-            print(f"NOT-IMPLIED witness=atom{universe.render_atom(verdict.witness)}")
-        print("mode=atoms")
-        return 0 if verdict.implied else 1
-    if args.mode == "lp":
+    if not any(s.z for s in sigma):
+        cert = check_marginal(sigma, tau, n)
+        verdict, engine = cert.render(universe).split("\n", 1)[0], "marginal"
+    elif n <= MAX_LP_VARIABLES:
         lam = optimal_lambda(sigma, tau, n)
-        if lam is UNBOUNDED:
-            print("NOT-IMPLIED lambda=unbounded")
-        else:
-            print(f"IMPLIED lambda={lam}")
-        print("mode=lp")
-        return 1 if lam is UNBOUNDED else 0
-    closure = semigraphoid_closure(sigma, n)
-    member = tau in closure
-    print("IMPLIED" if member else "NOT-IMPLIED")
-    print("mode=graphoid")
-    return 0 if member else 1
+        verdict = "NOT-IMPLIED lambda=unbounded" if lam is UNBOUNDED else f"IMPLIED lambda={lam}"
+        engine = "lp"
+    else:
+        verdict, engine, _ = _refutation(sigma, tau, universe) or ("UNKNOWN", "none", ())
+    print(verdict)
+    print(f"engine={engine}")
+    return 2 if engine == "none" else 0 if verdict.startswith("IMPLIED") else 1
 
 
 def _cmd_bound(args) -> int:
-    if args.kind == "recursive":
-        if args.dag is None:
-            raise CIError("--kind recursive requires --dag")
+    if args.dag is not None:
         dag = read_dag_file(args.dag)
         universe = dag.universe
         tau = parse_ci_triple(args.tau, universe)
         cert = check_recursive(dag, tau)
     else:
-        if args.sigma is None:
-            raise CIError("--kind marginal requires --sigma")
         sigma, tau, universe = _universe_for(args.sigma, args.tau)
         cert = check_marginal(sigma, tau, universe.n)
     print(cert.render(universe))
     if not cert.implied:
         path = args.artifact or DEFAULT_ARTIFACT
-        _write_refutation(cert, universe, path)
+        _write_refutation(cert.refutation_kind, cert.refutation_forms, universe, path)
         print(f"artifact={path}")
     return 0 if cert.implied else 1
 
@@ -170,7 +182,8 @@ def _cmd_closure(args) -> int:
     closure = semigraphoid_closure(sigma, universe.n)
     if tau is not None:
         member = tau in closure
-        print("IMPLIED" if member else "NOT-IMPLIED")
+        # the closure is sound but not complete: a non-member is no refutation
+        print("IMPLIED" if member else "UNKNOWN not-in-closure")
         print(f"tau={universe.render_triple(tau)}")
         return 0 if member else 1
     ordered = sorted(
@@ -184,24 +197,15 @@ def _cmd_closure(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     sigma, tau, universe = _universe_for(args.sigma, args.tau)
-    verdict = implies_positive(sigma, tau, universe.n)
-    if not verdict.implied:
-        table = single_atom_polymatroid(verdict.witness, universe.n)
-        _verify_refutation(table, sigma, tau)
-        write_polymatroid(table, universe, args.out)
-        print(f"NOT-IMPLIED witness=atom{universe.render_atom(verdict.witness)}")
-        print(f"artifact={args.out} kind=single-atom")
-        return 0
-    found = parity_refutation(sigma, tau, universe.n)
-    if found is not None:
-        reduced, forms = found
-        write_distribution(linear_distribution(forms), universe, args.out)
-        print(f"NOT-IMPLIED witness={universe.render_triple(reduced)}")
-        print(f"artifact={args.out} kind=parity")
-        return 0
-    # Neither construction applies; that is no proof of implication.
-    print("UNKNOWN no-counterexample")
-    return 1
+    found = _refutation(sigma, tau, universe)
+    if found is None:
+        print("UNKNOWN no-counterexample")
+        return 1
+    verdict, kind, forms = found
+    _write_refutation(kind, forms, universe, args.out)
+    print(verdict)
+    print(f"artifact={args.out} kind={kind}")
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -250,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("implies", help="test implication from a CI set")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--mode", choices=["atoms", "lp", "graphoid"], default="atoms")
     p.set_defaults(func=_cmd_implies)
 
     p = sub.add_parser("bound", help="certify a relaxation bound")
-    p.add_argument("--kind", choices=["recursive", "marginal"], required=True)
     p.add_argument("--dag")
     p.add_argument("--sigma")
     p.add_argument("--tau", required=True)
@@ -303,10 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "command", None) == "entropy" and (args.dist is None) == (
-        args.table is None
-    ):
-        print("error: exactly one of --dist or --table is required", file=sys.stderr)
+    pair = ONE_INPUT_OF.get(args.command)
+    if pair and (getattr(args, pair[0]) is None) == (getattr(args, pair[1]) is None):
+        print(f"error: exactly one of --{pair[0]} or --{pair[1]} is required", file=sys.stderr)
         return 2
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):

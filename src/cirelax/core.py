@@ -98,9 +98,11 @@ _EMPTY = VarSet(0)
 class CITriple:
     """A conditional-independence statement (x ; y | z).
 
-    x and y are non-empty and x, y, z are pairwise disjoint.  The two sides
-    are stored with the lexicographically smaller index tuple first, so the
-    symmetric statements (X;Y|Z) and (Y;X|Z) are the same value.
+    x and y are non-empty and x, y, z are pairwise disjoint.  The side that
+    holds the lower lowest index is stored first, so the symmetric
+    statements (X;Y|Z) and (Y;X|Z) are the same value.  As the sides are
+    disjoint, that is the side with the lexicographically smaller index
+    tuple.
     """
 
     x: VarSet
@@ -108,15 +110,12 @@ class CITriple:
     z: VarSet = _EMPTY
 
     def __post_init__(self) -> None:
-        if not self.x or not self.y:
+        xb, yb, zb = self.x.bits, self.y.bits, self.z.bits
+        if not xb or not yb:
             raise CIError("both sides of a CI triple must be non-empty")
-        if (
-            not self.x.isdisjoint(self.y)
-            or not self.x.isdisjoint(self.z)
-            or not self.y.isdisjoint(self.z)
-        ):
+        if xb & yb or (xb | yb) & zb:
             raise CIError("the parts of a CI triple must be pairwise disjoint")
-        if self.y.sort_key() < self.x.sort_key():
+        if yb & -yb < xb & -xb:
             x, y = self.x, self.y
             object.__setattr__(self, "x", y)
             object.__setattr__(self, "y", x)

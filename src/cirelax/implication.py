@@ -129,21 +129,17 @@ class RelaxationCertificate:
         return "\n".join(lines)
 
 
-def _verify_refutation(
-    table: PolymatroidTable | LinearRanks, antecedents: CISet, tau: CITriple
-) -> None:
-    """A refutation must be a polymatroid with h(sigma)=0 and h(tau)=1.
+def _verify_refutation(forms: tuple[int, ...], antecedents: CISet, tau: CITriple) -> None:
+    """GF(2) forms of fair bits refute ``tau`` when h(sigma)=0 and h(tau)=1.
 
-    ``table`` must hold exact integer GF(2) ranks of linear forms of fair
-    bits: a ``LinearRanks`` view of the forms, or a table built by
-    ``linear_rank_table``.  Such ranks are entropies and hence a
-    polymatroid (Yeung, ch. 15).  So only the CI terms are checked, four
-    ranks each, read through ``cmi``; a view computes just those ranks.
+    Their ranks are entropies and hence a polymatroid (Yeung, ch. 15), so
+    only the CI terms are checked, four ranks each, with no 2^n table.
     """
+    ranks = LinearRanks(forms)
     for sigma in antecedents:
-        if table.cmi(sigma) != 0:
+        if ranks.cmi(sigma) != 0:
             raise InternalCheckError(f"refutation does not annihilate {sigma!r}")
-    if table.cmi(tau) != 1:
+    if ranks.cmi(tau) != 1:
         raise InternalCheckError("refutation does not separate the consequent")
 
 
@@ -181,7 +177,7 @@ def parity_refutation(
                 if not survivor:
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
                     forms = _parity_forms(n, reduced)
-                    _verify_refutation(LinearRanks(forms), antecedents, tau)
+                    _verify_refutation(forms, antecedents, tau)
                     return reduced, forms
                 ext = (ext - pool) & pool  # next submask, increasing numeric order
                 if ext == 0:
@@ -283,7 +279,7 @@ def check_recursive(dag: Dag, tau: CITriple) -> RelaxationCertificate:
             source="d-separation",
         )
     trail, forms = _trail_refutation(dag, tau)
-    _verify_refutation(LinearRanks(forms), recursive_basis(dag), tau)
+    _verify_refutation(forms, recursive_basis(dag), tau)
     return RelaxationCertificate(
         implied=False,
         kind="recursive",

@@ -10,6 +10,7 @@ from cirelax.cli import main
 CHAIN_DAG = "var X1\nvar X2\nvar X3\nedge X1 X2\nedge X2 X3\n"
 COLLIDER_DAG = "var X1\nvar X2\nvar X3\nedge X1 X3\nedge X2 X3\n"
 SEC_SIGMA = "I(A;B)\nI(A;C|B)\n"
+STUDENY_SIGMA = "I(A;B|C,D)\nI(C;D|A)\nI(C;D|B)\nI(A;B)\n"
 
 
 def run(argv):
@@ -66,40 +67,72 @@ class TestDsep:
 
 
 class TestImplies:
-    def test_atoms_mode(self, sec_sigma):
-        code, out, _ = run(["implies", "--sigma", sec_sigma, "--tau", "I(A;C)"])
-        assert code == 0 and out == "IMPLIED\nmode=atoms\n"
+    def write(self, tmp_path, text):
+        p = tmp_path / "s.ci"
+        p.write_text(text)
+        return str(p)
+
+    def test_mode_option_is_a_usage_error(self, sec_sigma):
+        for mode in ("atoms", "lp", "graphoid"):
+            code, out, err = run(
+                ["implies", "--sigma", sec_sigma, "--tau", "I(A;C)", "--mode", mode]
+            )
+            assert code == 2 and out == "" and "--mode" in err
 
     def test_lp_mode(self, sec_sigma):
-        code, out, _ = run(
-            ["implies", "--sigma", sec_sigma, "--tau", "I(A;C)", "--mode", "lp"]
-        )
-        assert code == 0 and out == "IMPLIED lambda=1\nmode=lp\n"
+        # a conditional antecedent at n <= MAX_LP_VARIABLES goes to the exact LP
+        code, out, _ = run(["implies", "--sigma", sec_sigma, "--tau", "I(A;C)"])
+        assert code == 0 and out == "IMPLIED lambda=1\nengine=lp\n"
 
-    def test_graphoid_mode(self, sec_sigma):
-        code, out, _ = run(
-            ["implies", "--sigma", sec_sigma, "--tau", "I(A;C)", "--mode", "graphoid"]
-        )
-        assert code == 0 and out == "IMPLIED\nmode=graphoid\n"
+    def test_lp_refutes_without_an_uncovered_atom(self, tmp_path):
+        # atoms cover the query, yet no finite factor exists
+        sigma = self.write(tmp_path, "I(a;d|b,c)\nI(a;b)\nI(a,b;c|d)\n")
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(a;b,d|c)"])
+        assert code == 1 and out == "NOT-IMPLIED lambda=unbounded\nengine=lp\n"
+
+    def test_collider_query_is_refuted_by_a_parity(self, tmp_path):
+        # atom inclusion alone would call this implied
+        sigma = self.write(tmp_path, "I(X1;X2)\n")
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(X1;X2|X3)"])
+        assert code == 1
+        assert out == "NOT-IMPLIED witness=I(X1;X2|X3)\nengine=marginal\n"
+
+    def test_marginal_implied(self, tmp_path):
+        sigma = self.write(tmp_path, "I(a;b,c)\n")
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(a;c|b)"])
+        assert code == 0 and out == "IMPLIED lambda=1\nengine=marginal\n"
+
+    def test_studeny_query_is_implied(self, tmp_path):
+        # not in the semigraphoid closure (see TestClosure), yet lambda* = 1
+        sigma = self.write(tmp_path, STUDENY_SIGMA)
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(C;D)"])
+        assert code == 0 and out == "IMPLIED lambda=1\nengine=lp\n"
 
     def test_negative_atoms_mode(self, tmp_path):
-        p = tmp_path / "s.ci"
-        p.write_text("I(a;b|c)\n")
-        code, out, _ = run(["implies", "--sigma", str(p), "--tau", "I(a;b)"])
+        # past the LP cap an uncovered atom is a verified refutation
+        sigma = self.write(tmp_path, "I(a;b|c,d,e,f)\n")
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(a;b)"])
         assert code == 1
-        assert out.splitlines()[0] == "NOT-IMPLIED witness=atom{a,b,c}"
+        assert out == "NOT-IMPLIED witness=atom{a,b,c}\nengine=single-atom\n"
+
+    def test_parity_past_the_lp_cap(self, tmp_path):
+        # atoms cover the query, a parity refutes it
+        sigma = self.write(tmp_path, "I(a;b)\nI(d;e|f)\n")
+        code, out, _ = run(["implies", "--sigma", sigma, "--tau", "I(a;b|c)"])
+        assert code == 1
+        assert out == "NOT-IMPLIED witness=I(a;b|c)\nengine=parity\n"
 
     def test_lp_mode_cap_exits_2(self, tmp_path):
-        p = tmp_path / "wide.ci"
-        p.write_text("I(a;b|c,d,e,f)\n")
-        code, _, err = run(["implies", "--sigma", str(p), "--tau", "I(a;b)", "--mode", "lp"])
-        assert code == 2 and "error:" in err
+        # implied by the chain rule, but past the LP cap nothing can certify it
+        sigma = self.write(tmp_path, "I(a;b|c)\nI(a;c)\nI(d;e|f)\n")
+        code, out, err = run(["implies", "--sigma", sigma, "--tau", "I(a;b,c)"])
+        assert code == 2 and out == "UNKNOWN\nengine=none\n" and err == ""
 
 
 class TestBound:
     def test_recursive_implied(self, chain_dag):
         code, out, _ = run(
-            ["bound", "--kind", "recursive", "--dag", chain_dag, "--tau", "I(X1;X3|X2)"]
+            ["bound", "--dag", chain_dag, "--tau", "I(X1;X3|X2)"]
         )
         assert code == 0
         assert out.splitlines()[0] == "IMPLIED lambda=1"
@@ -107,7 +140,7 @@ class TestBound:
     def test_recursive_not_implied_writes_polymatroid(self, collider_dag, tmp_path):
         artifact = tmp_path / "refutation.tab"
         code, out, _ = run(
-            ["bound", "--kind", "recursive", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
+            ["bound", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
              "--artifact", str(artifact)]
         )
         assert code == 1
@@ -124,8 +157,6 @@ class TestBound:
         code, out, _ = run(
             [
                 "bound",
-                "--kind",
-                "marginal",
                 "--sigma",
                 str(sigma),
                 "--tau",
@@ -146,7 +177,7 @@ class TestBound:
         sigma = tmp_path / "m.ci"
         sigma.write_text("I(a;b,c)\n")
         code, out, _ = run(
-            ["bound", "--kind", "marginal", "--sigma", str(sigma), "--tau", "I(a;c|b)"]
+            ["bound", "--sigma", str(sigma), "--tau", "I(a;c|b)"]
         )
         assert code == 0
         assert out.splitlines()[0] == "IMPLIED lambda=1"
@@ -156,23 +187,27 @@ class TestBound:
         sigma = tmp_path / "m.ci"
         sigma.write_text("I(a;b)\n")
         code, out, _ = run(
-            ["bound", "--kind", "marginal", "--sigma", str(sigma), "--tau", "I(a;b|c)"]
+            ["bound", "--sigma", str(sigma), "--tau", "I(a;b|c)"]
         )
         assert code == 1
         assert "artifact=refutation.out" in out
         assert (tmp_path / "refutation.out").exists()
 
-    def test_kind_requires_matching_input(self, sec_sigma):
+    def test_exactly_one_of_dag_or_sigma(self, chain_dag, sec_sigma):
+        for inputs in ([], ["--dag", chain_dag, "--sigma", sec_sigma]):
+            code, out, err = run(["bound", *inputs, "--tau", "I(X1;X3)"])
+            assert (code, out) == (2, "")
+            assert err == "error: exactly one of --dag or --sigma is required\n"
         code, _, err = run(
-            ["bound", "--kind", "recursive", "--sigma", sec_sigma, "--tau", "I(A;C)"]
+            ["bound", "--kind", "recursive", "--dag", chain_dag, "--tau", "I(X1;X3)"]
         )
-        assert code == 2
+        assert code == 2 and "--kind" in err
 
     def test_non_marginal_antecedent_rejected(self, tmp_path):
         sigma = tmp_path / "m.ci"
         sigma.write_text("I(a;b|c)\n")
         code, _, err = run(
-            ["bound", "--kind", "marginal", "--sigma", str(sigma), "--tau", "I(a;b)"]
+            ["bound", "--sigma", str(sigma), "--tau", "I(a;b)"]
         )
         assert code == 2 and "marginal" in err
 
@@ -207,6 +242,13 @@ class TestClosure:
         sigma.write_text("I(a;b|c,d,e,f)\n")
         code, _, err = run(["closure", "--sigma", str(sigma)])
         assert code == 2
+
+    def test_non_member_is_unknown(self, tmp_path):
+        # the closure is incomplete: lambda* = 1 here (see TestImplies)
+        sigma = tmp_path / "studeny.ci"
+        sigma.write_text(STUDENY_SIGMA)
+        code, out, _ = run(["closure", "--sigma", str(sigma), "--tau", "I(C;D)"])
+        assert code == 1 and out == "UNKNOWN not-in-closure\ntau=I(C;D)\n"
 
 
 class TestCounterexample:
@@ -263,12 +305,10 @@ class TestCounterexample:
 
     def test_unverified_single_atom_is_not_written(self, tmp_path, monkeypatch):
         from cirelax import cli
-        from cirelax.atoms import single_atom_polymatroid
+        from cirelax.atoms import Verdict
 
         # atom {a,b} is covered by I(a;b|c), so the "refutation" leaves it at 1
-        monkeypatch.setattr(
-            cli, "single_atom_polymatroid", lambda atom, n: single_atom_polymatroid(0b011, n)
-        )
+        monkeypatch.setattr(cli, "implies_positive", lambda sigma, tau, n: Verdict(False, 0b011))
         sigma = tmp_path / "s.ci"
         sigma.write_text("I(a;b|c)\n")
         out_path = tmp_path / "ce.tab"
@@ -399,7 +439,7 @@ class TestErrorsExit2:
 
         monkeypatch.setattr(cli, "check_recursive", broken)
         code, out, err = run(
-            ["bound", "--kind", "recursive", "--dag", chain_dag, "--tau", "I(X1;X3)"]
+            ["bound", "--dag", chain_dag, "--tau", "I(X1;X3)"]
         )
         self.assert_one_error_line(code, out, err)
         assert "internal check failed" in err
@@ -421,7 +461,7 @@ class TestEntropyCommand:
     def test_table_entropies_of_the_collider_refutation(self, collider_dag, tmp_path):
         # X1 and X2 are fair bits and X3 = X1 xor X2
         artifact = tmp_path / "refutation.tab"
-        run(["bound", "--kind", "recursive", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
+        run(["bound", "--dag", collider_dag, "--tau", "I(X1;X2|X3)",
              "--artifact", str(artifact)])
         for term, value in (
             ("H(X1)", "1.0"),

@@ -88,6 +88,24 @@ class TestParsing:
             parse_ci_lines(["I(a;b)", "I(a;a)"])
 
 
+class TestCITriple:
+    def test_orientation_matches_the_index_tuple_order(self):
+        # every (x, y, z) at n <= 6: the side with the smaller index tuple
+        # comes first, whichever side is passed first
+        for n in range(2, 7):
+            for labels in range(4**n):
+                parts = [0, 0, 0, 0]
+                for v in range(n):
+                    parts[labels >> 2 * v & 3] |= 1 << v
+                x, y, z = (VarSet(b) for b in parts[:3])
+                if not x or not y:
+                    continue
+                t = CITriple(x, y, z)
+                assert t == CITriple(y, x, z) and t.z == z
+                assert {t.x, t.y} == {x, y}
+                assert t.x.sort_key() < t.y.sort_key()
+
+
 class TestCISet:
     def test_dedup_preserves_order(self):
         t1 = parse_ci_triple("I(A;B)", U3)

@@ -233,11 +233,10 @@ class TestVerifyRefutation:
     def test_rejects_forms_that_leave_an_antecedent(self):
         # X1 = X2 = one shared bit keeps I(X1;X2|X3) = 1 but also I(X1;X2) = 1
         dag = collider3()
-        table = linear_rank_table((1, 1, 0))
         tau = T("I(X1;X2|X3)", dag.universe)
-        assert table.cmi(tau) == 1
+        assert linear_rank_table((1, 1, 0)).cmi(tau) == 1
         with pytest.raises(InternalCheckError, match="annihilate"):
-            _verify_refutation(table, recursive_basis(dag), tau)
+            _verify_refutation((1, 1, 0), recursive_basis(dag), tau)
 
 
 class TestCheckMarginal:
