@@ -81,9 +81,6 @@ class VarSet:
             raise CIError("empty variable set has no minimum")
         return (self.bits & -self.bits).bit_length() - 1
 
-    def complement(self, n: int) -> "VarSet":
-        return VarSet(((1 << n) - 1) & ~self.bits)
-
     def sort_key(self) -> tuple[int, ...]:
         return tuple(self)
 
@@ -92,6 +89,16 @@ class VarSet:
 
 
 _EMPTY = VarSet(0)
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, 0 and ``mask`` included, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from .core import (
     CIError,
     CISet,
     CITriple,
-    MAX_VARIABLES,
     ParseError,
     Universe,
     VarSet,
@@ -21,17 +20,18 @@ from .core import (
 
 @dataclass(frozen=True)
 class Dag:
-    """A labelled DAG given by per-node parent sets."""
+    """A labelled DAG given by per-node parent sets; its names are
+    checked as a ``Universe`` once, at construction."""
 
     names: tuple[str, ...]
     parents: tuple[VarSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
+        universe = Universe(tuple(self.names))
+        object.__setattr__(self, "names", universe.names)
         object.__setattr__(self, "parents", tuple(self.parents))
-        n = len(self.names)
-        if n > MAX_VARIABLES:
-            raise CIError(f"at most {MAX_VARIABLES} variables are supported")
+        object.__setattr__(self, "_universe", universe)
+        n = universe.n
         if len(self.parents) != n:
             raise CIError("one parent set per node is required")
         for i, ps in enumerate(self.parents):
@@ -59,7 +59,7 @@ class Dag:
 
     @property
     def universe(self) -> Universe:
-        return Universe(self.names)
+        return self._universe  # type: ignore[attr-defined]
 
     def topological_order(self) -> tuple[int, ...]:
         """The order Kahn's algorithm found at construction, smallest ready
@@ -119,24 +119,18 @@ def read_dag_file(path: str) -> Dag:
         return parse_dag(fh)
 
 
-def recursive_basis(dag: Dag, order: Sequence[int] | None = None) -> CISet:
-    """The CI statements encoding the DAG factorization along ``order``.
+def recursive_basis(dag: Dag) -> CISet:
+    """The CI statements encoding the DAG factorization.
 
-    For the i-th node v of the order, with U the earlier nodes and B = the
-    parents of v, the statement is (v ; U minus B | B).  Statements with an
-    empty left-over set carry no information and are omitted.
+    For each node v of ``dag.topological_order()``, with U the earlier
+    nodes and B the parents of v, the statement is (v ; U minus B | B).
+    Statements with an empty left-over set carry no information and are
+    omitted.
     """
-    if order is None:
-        order = dag.topological_order()
-    order = tuple(order)
-    if sorted(order) != list(range(dag.n)):
-        raise CIError("order must be a permutation of the node indices")
     placed = VarSet(0)
     triples: list[CITriple] = []
-    for v in order:
+    for v in dag.topological_order():
         b = dag.parents[v]
-        if not b.issubset(placed):
-            raise CIError("order is not topological for this graph")
         r = placed - b
         if r:
             triples.append(CITriple(VarSet.of(v), r, b))

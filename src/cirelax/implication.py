@@ -37,6 +37,7 @@ from .core import (
     VarSet,
     check_fits,
     elemental_decompose,
+    submasks,
 )
 from .dag import Dag, active_trail, recursive_basis
 from .distributions import (
@@ -161,27 +162,16 @@ def parity_refutation(
     for a in tau.x:
         for b in tau.y:
             ab = VarSet.of(a, b)
-            pool = (tau.mentioned - ab).bits
-            ext = 0
-            while True:
+            for ext in submasks((tau.mentioned - ab).bits):
                 s = ab | VarSet(ext)
-                survivor = False
-                for sigma in antecedents:
-                    if (
-                        s.issubset(sigma.mentioned)
-                        and sigma.x & s
-                        and sigma.y & s
-                    ):
-                        survivor = True
-                        break
-                if not survivor:
+                if not any(
+                    s.issubset(sigma.mentioned) and sigma.x & s and sigma.y & s
+                    for sigma in antecedents
+                ):
                     reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
                     forms = _parity_forms(n, reduced)
                     _verify_refutation(forms, antecedents, tau)
                     return reduced, forms
-                ext = (ext - pool) & pool  # next submask, increasing numeric order
-                if ext == 0:
-                    break
     return None
 
 
@@ -401,20 +391,13 @@ def check_marginal(sigma: CISet, tau: CITriple, n: int) -> RelaxationCertificate
 def _unary_consequences(t: CITriple) -> list[CITriple]:
     """Everything derivable from one triple by shrinking a side and moving
     any part of the removed variables into the conditioning set."""
-    out = []
-    for keep_side, other in ((t.x, t.y), (t.y, t.x)):
-        pool = keep_side.bits
-        kept = pool
-        while kept:
-            rem = pool ^ kept
-            moved = rem
-            while True:
-                out.append(CITriple(VarSet(kept), other, t.z | VarSet(moved)))
-                if moved == 0:
-                    break
-                moved = (moved - 1) & rem
-            kept = (kept - 1) & pool
-    return out
+    return [
+        CITriple(VarSet(kept), other, t.z | VarSet(moved))
+        for side, other in ((t.x, t.y), (t.y, t.x))
+        for kept in submasks(side.bits)
+        if kept
+        for moved in submasks(side.bits ^ kept)
+    ]
 
 
 def _contractions(t1: CITriple, t2: CITriple) -> list[CITriple]:

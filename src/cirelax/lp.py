@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
-from .polymatroids import PolymatroidTable, is_polymatroid
+from .polymatroids import PolymatroidTable, elemental_rows, is_polymatroid
 
 MAX_LP_VARIABLES = 5
 
@@ -82,36 +81,15 @@ class LinearFunctional:
 
 
 def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:
-    """The generating rows of the polymatroid cone on n variables.
-
-    n monotonicity rows h(full) - h(full minus i), then one submodularity
-    row I(i;j|K) for each pair i < j and each K disjoint from it, in
-    (i, j, K) order.  Row count: n + C(n,2) * 2**(n-2).
-    """
+    """The generating rows of the polymatroid cone on n variables: the
+    rows of ``polymatroids.elemental_rows``, in its order, as forms over
+    the nonempty masks."""
     if not 2 <= n <= MAX_LP_VARIABLES:
         raise CapExceeded(f"the LP layer supports 2..{MAX_LP_VARIABLES} variables")
-    full = (1 << n) - 1
-    rows = []
-    for i in range(n):
-        rows.append(
-            LinearFunctional.from_dict({full: _F1, full ^ (1 << i): -_F1})
-        )
-    for i, j in combinations(range(n), 2):
-        bi, bj = 1 << i, 1 << j
-        rest = full ^ bi ^ bj
-        subsets = []
-        k = rest
-        while True:
-            subsets.append(k)
-            if k == 0:
-                break
-            k = (k - 1) & rest
-        for k in sorted(subsets):
-            d = {k | bi: _F1, k | bj: _F1, k | bi | bj: -_F1}
-            if k:
-                d[k] = -_F1
-            rows.append(LinearFunctional.from_dict(d))
-    return tuple(rows)
+    return tuple(
+        LinearFunctional.from_dict({a: _F1, b: _F1, c: -_F1, d: -_F1})
+        for a, b, c, d in elemental_rows(n)
+    )
 
 
 @dataclass(frozen=True)

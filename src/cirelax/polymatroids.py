@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     CapExceeded,
@@ -23,6 +23,7 @@ from .core import (
     VarSet,
     _payload_lines,
     check_fits,
+    submasks,
 )
 
 # The most variables of a rank table or an atom set, whose sizes grow as 2**n.
@@ -78,12 +79,16 @@ def write_polymatroid(table: PolymatroidTable, universe: Universe, path: str) ->
 
 
 def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
-    """Read a ``write_polymatroid`` dump; omitted subsets have value 0."""
+    """Read a ``write_polymatroid`` dump; omitted subsets have value 0.
+    The header's names are capped before the 2^n values are allocated."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = list(_payload_lines(fh))
     if not payload or not payload[0][1].startswith("polymatroid vars "):
         raise ParseError("table files start with 'polymatroid vars NAME ...'")
-    universe = Universe(tuple(payload[0][1].split()[2:]))
+    names = tuple(payload[0][1].split()[2:])
+    if len(names) > MAX_TABLE_VARIABLES:
+        raise CapExceeded(f"table files support at most {MAX_TABLE_VARIABLES} variables")
+    universe = Universe(names)
     values = [Fraction(0)] * (1 << universe.n)
     for lineno, line in payload[1:]:
         parts = line.split()
@@ -177,31 +182,31 @@ class LinearRanks:
         return self.value(zx) + self.value(zy) - self.value(zx | t.y.bits) - self.value(t.z.bits)
 
 
-def is_polymatroid(table: PolymatroidTable, tol=0) -> bool:
-    """Whether the table is normalized, monotone, and submodular.
+def elemental_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The elemental inequalities on n variables, each as four masks
+    ``(a, b, c, d)`` meaning h(a) + h(b) - h(c) - h(d) >= 0.
 
-    Checked on the elemental inequalities, which generate the polymatroid
-    cone: h(N) >= h(N - i) for each variable i, and I(i;j|K) >= 0 for each
-    pair i, j and each K avoiding both.  That is O(n^2 2^n) work.  The
-    refutations the deciders ship never need this check: they are rank
-    tables of GF(2) forms (``linear_rank_table``), polymatroids by theorem.
+    They generate the polymatroid cone (Yeung 1997): first the n
+    monotonicity rows h(N) >= h(N - i), as ``(N, 0, N - i, 0)``, then
+    I(i;j|K) >= 0 for each pair i < j and each K avoiding both, in
+    (i, j, K ascending) order.  Row count: n + C(n,2) * 2**(n-2).
     """
-    n = table.n
-    v = table.values
     full = (1 << n) - 1
-    if not -tol <= v[0] <= tol:
-        return False
     for i in range(n):
-        if v[full] - v[full ^ (1 << i)] < -tol:
-            return False
+        yield full, 0, full ^ (1 << i), 0
     for i, j in combinations(range(n), 2):
         bi, bj = 1 << i, 1 << j
-        rest = full ^ bi ^ bj
-        k = rest
-        while True:
-            if v[k | bi] + v[k | bj] - v[k | bi | bj] - v[k] < -tol:
-                return False
-            if k == 0:
-                break
-            k = (k - 1) & rest
-    return True
+        for k in submasks(full ^ bi ^ bj):
+            yield k | bi, k | bj, k | bi | bj, k
+
+
+def is_polymatroid(table: PolymatroidTable, tol=0) -> bool:
+    """Whether h(empty) = 0 and every row of ``elemental_rows`` holds,
+    within ``tol``: O(n^2 2^n) work.  The refutations the deciders ship
+    never need this check: they are rank tables of GF(2) forms
+    (``linear_rank_table``), polymatroids by theorem.
+    """
+    v = table.values
+    if not -tol <= v[0] <= tol:
+        return False
+    return not any(v[a] + v[b] - v[c] - v[d] < -tol for a, b, c, d in elemental_rows(table.n))

@@ -484,6 +484,12 @@ class TestEntropyCommand:
         code, _, err = run(["entropy", "--term", "H(a)"])
         assert code == 2
 
+    def test_table_header_above_the_cap_exits_2(self, tmp_path):
+        table = tmp_path / "wide.tab"
+        table.write_text("polymatroid vars " + " ".join(f"v{i}" for i in range(17)) + "\n")
+        code, out, err = run(["entropy", "--table", str(table), "--term", "H(v0)"])
+        assert (code, out) == (2, "") and "at most 16" in err
+
     def test_non_dyadic_falls_back_to_float(self, tmp_path):
         dist = tmp_path / "tri.dist"
         dist.write_text("vars a:3\n0 1/3\n1 1/3\n2 1/3\n")

@@ -18,6 +18,8 @@ from cirelax import (
     random_distribution,
 )
 
+from cirelax.core import submasks
+
 from helpers import random_triple
 
 U3 = Universe(("A", "B", "C"))
@@ -33,7 +35,11 @@ class TestVarSet:
         assert list(a) == [0, 2]
         assert len(a) == 2
         assert 2 in a and 1 not in a
-        assert a.complement(4).bits == 0b1010
+
+    def test_submasks_against_brute_force(self):
+        for mask in range(1 << 8):
+            brute = [s for s in range(mask + 1) if s & ~mask == 0]
+            assert list(submasks(mask)) == brute
 
     def test_ordering_key(self):
         # {A,C} sorts before {B}: the smaller first index wins

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from cirelax import (
+    CapExceeded,
     CIError,
     CISet,
     Dag,
+    ParseError,
     VarSet,
     active_trail,
     d_separated,
@@ -52,6 +54,17 @@ class TestDagBasics:
         text = "# demo\nvar X1\nvar X2\nvar X3\nedge X1 X2\nedge X2 X3\n"
         dag = parse_dag(text.splitlines())
         assert dag == chain3()
+
+    def test_names_checked_at_construction(self):
+        no_parents = (VarSet(0), VarSet(0))
+        with pytest.raises(ParseError, match="duplicate"):
+            Dag(("a", "a"), no_parents)
+        with pytest.raises(ParseError, match="invalid"):
+            Dag(("a b", "c"), no_parents)
+        with pytest.raises(CapExceeded):
+            Dag(tuple(f"v{i}" for i in range(25)), (VarSet(0),) * 25)
+        dag = chain3()
+        assert dag.universe is dag.universe and dag.universe.names == dag.names
 
     def test_parse_bad_line(self):
         with pytest.raises(CIError):
@@ -105,27 +118,6 @@ class TestRecursiveBasis:
                     if (t.mentioned - side).bits == earlier.bits:
                         matched = True
                 assert matched, t
-
-    def test_non_topological_order_rejected(self):
-        with pytest.raises(CIError):
-            recursive_basis(chain3(), order=(2, 1, 0))
-        with pytest.raises(CIError):
-            recursive_basis(chain3(), order=(0, 0, 1))
-
-    def test_explicit_order_changes_basis_not_meaning(self):
-        from cirelax import semigraphoid_closure
-
-        dag = Dag.from_edges(("X1", "X2", "X3"), [])
-        u = dag.universe
-        alt = recursive_basis(dag, order=(2, 1, 0))
-        assert alt == CISet(
-            (parse_ci_triple("I(X2;X3)", u), parse_ci_triple("I(X1;X2,X3)", u))
-        )
-        assert alt != recursive_basis(dag)
-        # any two orders describe the same graph: identical closures
-        assert semigraphoid_closure(alt, 3) == semigraphoid_closure(
-            recursive_basis(dag), 3
-        )
 
 
 class TestDSeparation:

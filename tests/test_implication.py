@@ -13,6 +13,7 @@ from cirelax import (
     InternalCheckError,
     CITriple,
     Dag,
+    PolymatroidTable,
     Universe,
     VarSet,
     active_trail,
@@ -38,6 +39,7 @@ from cirelax.polymatroids import LinearRanks, linear_rank_table
 
 from helpers import (
     elemental_queries,
+    random_ci_set,
     random_dag,
     random_marginal_set,
     random_triple,
@@ -373,6 +375,34 @@ class TestParityRefutationSearch:
             table = linear_rank_table(got[1])
             assert all(table.cmi(s) == 0 for s in sigma)
             assert table.cmi(tau) == 1
+
+    def test_smallest_extension_by_brute_force(self):
+        # The parity over S has h(A) = min(|A & S|, |S| - 1); the search
+        # must return the first (a, b) in tau's index order and, for it,
+        # the numerically smallest extension whose parity kills sigma.
+        def parity_kills(s_mask, sigma, n):
+            top = s_mask.bit_count() - 1
+            table = PolymatroidTable(
+                n, tuple(min((m & s_mask).bit_count(), top) for m in range(1 << n))
+            )
+            return all(table.cmi(t) == 0 for t in sigma)
+
+        def brute(sigma, tau, n):
+            for a in tau.x:
+                for b in tau.y:
+                    pool = tau.mentioned.bits & ~(1 << a | 1 << b)
+                    for ext in range(1 << n):
+                        if ext & ~pool == 0 and parity_kills(1 << a | 1 << b | ext, sigma, n):
+                            return CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
+            return None
+
+        rng = random.Random(2024)
+        for _ in range(400):
+            n = rng.randrange(2, 7)
+            sigma = random_ci_set(n, rng, rng.randrange(0, 5))
+            tau = random_triple(n, rng)
+            got = parity_refutation(sigma, tau, n)
+            assert (got and got[0]) == brute(sigma, tau, n)
 
 
 class TestSemigraphoidClosure:

@@ -51,6 +51,22 @@ class TestElementalInequalities:
         with pytest.raises(CIError):
             elemental_inequalities(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_row_order(self, n):
+        # monotonicity rows by variable, then I(i;j|K) by i < j and K ascending
+        full = (1 << n) - 1
+        expected = [
+            LinearFunctional.from_dict({full: Fraction(1), full ^ (1 << i): Fraction(-1)})
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(1 << n):
+                    if not k >> i & 1 and not k >> j & 1:
+                        t = CITriple(VarSet.of(i), VarSet.of(j), VarSet(k))
+                        expected.append(LinearFunctional.cmi(t))
+        assert elemental_inequalities(n) == tuple(expected)
+
     def test_rows_vanish_nowhere_on_entropies(self):
         from cirelax import entropic_table, random_distribution
 

@@ -482,6 +482,16 @@ class TestPolymatroidFiles:
         with pytest.raises(ParseError):
             read_polymatroid(str(path))
 
+    def test_header_capped_before_allocation(self, tmp_path):
+        path = tmp_path / "t.tab"
+        names = [f"v{i}" for i in range(MAX_TABLE_VARIABLES + 1)]
+        path.write_text("polymatroid vars " + " ".join(names) + "\n")
+        with pytest.raises(CapExceeded):
+            read_polymatroid(str(path))
+        path.write_text("polymatroid vars " + " ".join(names[:-1]) + "\nset v0 1\n")
+        table, u = read_polymatroid(str(path))
+        assert u.n == MAX_TABLE_VARIABLES and table.values[1] == 1
+
 
 class TestDistributionFiles:
     def test_roundtrip_exact(self):
