@@ -35,13 +35,13 @@ from .core import (
     parse_ci_lines,
     parse_ci_triple,
 )
-from .atoms import implies_positive
 from .dag import d_separated, read_dag_file
 from .distributions import entropy, linear_distribution, read_distribution, write_distribution
 from .implication import (
     _verify_refutation,
     check_marginal,
     check_recursive,
+    implies_positive,
     parity_refutation,
     semigraphoid_closure,
     validate_bound,

@@ -29,7 +29,6 @@ from .core import (
     _payload_lines,
     check_fits,
 )
-from .atoms import AtomMeasure, measure_from_table
 from .polymatroids import PolymatroidTable
 
 MAX_OUTCOMES = 1 << 20
@@ -63,8 +62,8 @@ class JointDistribution:
             raise CapExceeded(f"at most {MAX_OUTCOMES} outcomes are supported")
         if len(self.probs) != count:
             raise CIError(f"expected {count} probabilities, got {len(self.probs)}")
-        if any(p < 0 for p in self.probs):
-            raise CIError("probabilities must be non-negative")
+        if not all(p >= 0 for p in self.probs):  # NaN >= 0 is false: NaN is rejected too
+            raise CIError("probabilities must be non-negative numbers")
         object.__setattr__(
             self, "_exact", all(isinstance(p, (Fraction, int)) for p in self.probs)
         )
@@ -280,16 +279,6 @@ def random_distribution(
     probs = [w / total for w in weights]
     probs[probs.index(max(probs))] += 1.0 - sum(probs)
     return JointDistribution(sizes, tuple(probs))
-
-
-def atom_measure(d: JointDistribution) -> AtomMeasure:
-    """The unique atom-mass assignment consistent with all entropies of ``d``.
-
-    Masses reconstruct every subset entropy: summing the masses of the
-    atoms meeting ``alpha`` gives H(alpha) back.  Capped, like the table,
-    at ``MAX_MEASURE_VARIABLES`` variables.
-    """
-    return measure_from_table(entropic_table(d))
 
 
 def format_distribution(d: JointDistribution, universe: Universe) -> str:

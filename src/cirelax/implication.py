@@ -43,13 +43,14 @@ from .dag import Dag, active_trail, recursive_basis
 from .distributions import (
     MAX_MEASURE_VARIABLES, JointDistribution, _parity_forms, linear_distribution
 )
-from .polymatroids import LinearRanks, PolymatroidTable, linear_rank_table
+from .polymatroids import (
+    MAX_TABLE_VARIABLES, LinearRanks, PolymatroidTable, linear_rank_table
+)
 
 # bench/tracing.py times the layers by swapping these names in this module,
-# as it does ``parity_refutation`` below, so they stay attributes of it even
-# where, as for ``implies_positive`` and ``is_polymatroid``, nothing here
+# as it does ``implies_positive`` and ``parity_refutation`` below, so they
+# stay attributes of it even where, as for ``is_polymatroid``, nothing here
 # calls them.
-from .atoms import implies_positive
 from .dag import d_separated
 from .distributions import entropic_table, random_distribution
 from .polymatroids import is_polymatroid
@@ -142,6 +143,36 @@ def _verify_refutation(forms: tuple[int, ...], antecedents: CISet, tau: CITriple
             raise InternalCheckError(f"refutation does not annihilate {sigma!r}")
     if ranks.cmi(tau) != 1:
         raise InternalCheckError("refutation does not separate the consequent")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    implied: bool
+    witness: int | None = None  # atom mask, present iff not implied
+
+
+def implies_positive(sigma: CISet, tau: CITriple, n: int) -> Verdict:
+    """Implication over all non-negative atom measures (Yeung 1991).
+
+    The atom with positive-form variable mask V is covered by a CI term
+    (X;Y|Z) when V meets X, meets Y and avoids Z.  ``tau`` is implied
+    exactly when every atom it covers is covered by some antecedent;
+    otherwise the smallest uncovered atom is the witness, and its rank
+    table (V's variables share one fair bit, the rest are constant) has
+    h(sigma) = 0 and h(tau) = 1.  The scan stops at the first such atom.
+    """
+    if not 1 <= n <= MAX_TABLE_VARIABLES:
+        raise CapExceeded(f"atom scans support 1..{MAX_TABLE_VARIABLES} variables, got {n}")
+    check_fits(tau, n)
+    check_fits(sigma, n)
+    terms = [(s.x.bits, s.y.bits, s.z.bits) for s in sigma]
+    xb, yb = tau.x.bits, tau.y.bits
+    for v in submasks(((1 << n) - 1) & ~tau.z.bits):
+        if v & xb and v & yb and not any(
+            v & sx and v & sy and not v & sz for sx, sy, sz in terms
+        ):
+            return Verdict(False, v)
+    return Verdict(True)
 
 
 def parity_refutation(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .core import CapExceeded, CIError, CISet, CITriple, InternalCheckError, check_fits
@@ -80,10 +81,11 @@ class LinearFunctional:
         return sum((h(m) * c for m, c in self.coeffs), _F0)
 
 
+@cache
 def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:
     """The generating rows of the polymatroid cone on n variables: the
     rows of ``polymatroids.elemental_rows``, in its order, as forms over
-    the nonempty masks."""
+    the nonempty masks.  Built once per n; the forms are immutable."""
     if not 2 <= n <= MAX_LP_VARIABLES:
         raise CapExceeded(f"the LP layer supports 2..{MAX_LP_VARIABLES} variables")
     return tuple(

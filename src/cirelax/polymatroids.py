@@ -26,7 +26,7 @@ from .core import (
     submasks,
 )
 
-# The most variables of a rank table or an atom set, whose sizes grow as 2**n.
+# The most variables of a rank table, whose size grows as 2**n.
 MAX_TABLE_VARIABLES = 16
 
 
@@ -79,8 +79,9 @@ def write_polymatroid(table: PolymatroidTable, universe: Universe, path: str) ->
 
 
 def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
-    """Read a ``write_polymatroid`` dump; omitted subsets have value 0.
-    The header's names are capped before the 2^n values are allocated."""
+    """Read a ``write_polymatroid`` dump; omitted subsets have value 0 and
+    a subset set twice, in any name order, raises ``ParseError``.  The
+    header's names are capped before the 2^n values are allocated."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = list(_payload_lines(fh))
     if not payload or not payload[0][1].startswith("polymatroid vars "):
@@ -90,11 +91,15 @@ def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
         raise CapExceeded(f"table files support at most {MAX_TABLE_VARIABLES} variables")
     universe = Universe(names)
     values = [Fraction(0)] * (1 << universe.n)
+    seen: set[int] = set()
     for lineno, line in payload[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "set":
             raise ParseError(f"line {lineno}: expected 'set NAMES VALUE'")
         mask = universe.set_of(*parts[1].split(",")).bits
+        if mask in seen:
+            raise ParseError(f"line {lineno}: duplicate set")
+        seen.add(mask)
         num, _, den = parts[2].partition("/")
         try:
             values[mask] = Fraction(int(num), int(den)) if den else Fraction(num)

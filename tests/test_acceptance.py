@@ -16,8 +16,6 @@ from cirelax import (
     CITriple,
     UNBOUNDED,
     Universe,
-    atom_measure,
-    atoms_of,
     check_marginal,
     d_separated,
     entropic_table,
@@ -29,18 +27,20 @@ from cirelax import (
     random_distribution,
     recursive_basis,
     semigraphoid_closure,
-    single_atom_polymatroid,
     tightness_family,
 )
 
 from helpers import (
     all_canonical_triples,
     all_dags,
+    atom_measure,
+    atoms_of,
     elemental_queries,
     random_ci_set,
     random_dag,
     random_marginal_set,
     random_triple,
+    single_atom_polymatroid,
 )
 
 TOL = 1e-9

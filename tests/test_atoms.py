@@ -6,28 +6,30 @@ from fractions import Fraction
 import pytest
 
 from cirelax import (
-    AtomMeasure,
     CapExceeded,
     CIError,
     CISet,
     CITriple,
     Universe,
-    atoms_of,
-    atoms_of_set,
+    VarSet,
     implies_positive,
     is_polymatroid,
-    measure_from_table,
-    single_atom_polymatroid,
+    tightness_family,
 )
-from cirelax.atoms import MAX_ATOM_VARIABLES
 
 from helpers import (
+    MAX_ATOM_VARIABLES,
+    AtomMeasure,
     all_canonical_triples,
+    atoms_of,
+    atoms_of_set,
     atomset_as_frozensets,
     brute_atoms,
+    measure_from_table,
     polymatroid_from_atoms,
     random_ci_set,
     random_triple,
+    single_atom_polymatroid,
 )
 
 UABC = Universe(("A", "B", "C"))
@@ -120,6 +122,55 @@ class TestImpliesPositive:
                 assert implies_positive(extra, tau, n).implied
 
 
+def _verdict_by_atom_sets(sigma, tau, n):
+    """The bitset oracle: the smallest atom of ``tau`` no antecedent covers."""
+    missing = atoms_of(tau, n) - atoms_of_set(sigma, n)
+    return (True, None) if not missing else (False, missing.min())
+
+
+class TestImpliesPositiveScan:
+    """The mask scan agrees with the 2^n-bit atom sets of the oracle."""
+
+    @staticmethod
+    def queries(n, rng):
+        # n = 1 holds no CI term: a term needs two disjoint non-empty sides
+        count = 12 if n <= 10 else 6
+        for _ in range(count):
+            sigma = random_ci_set(n, rng, rng.randrange(0, 6))
+            yield sigma, random_triple(n, rng)
+        sigma = random_ci_set(n, rng, rng.randrange(1, 5))
+        yield sigma, rng.choice(tuple(sigma))  # tau in sigma
+        # weak union of an antecedent: part of its x side moves into z
+        s = rng.choice(tuple(sigma))
+        kept = VarSet.of(s.x.min())
+        yield sigma, CITriple(kept, s.y, s.z | (s.x - kept))
+        yield tightness_family(n)  # implied by the chain rule
+
+    def test_matches_atom_sets(self):
+        rng = random.Random(2026)
+        implied = refuted = 0
+        for n in range(2, MAX_ATOM_VARIABLES + 1):
+            for sigma, tau in self.queries(n, rng):
+                verdict = implies_positive(sigma, tau, n)
+                expected = _verdict_by_atom_sets(sigma, tau, n)
+                assert (verdict.implied, verdict.witness) == expected, (n, sigma, tau)
+                implied += verdict.implied
+                refuted += not verdict.implied
+        assert implied >= 30 and refuted >= 30
+
+    def test_cap_raises_before_any_scan(self, monkeypatch):
+        from cirelax import implication
+
+        def no_scan(mask):
+            raise AssertionError("scanned past the cap")
+
+        monkeypatch.setattr(implication, "submasks", no_scan)
+        tau = CITriple(VarSet.of(0), VarSet.of(1))
+        for n in (0, MAX_ATOM_VARIABLES + 1):
+            with pytest.raises(CapExceeded):
+                implies_positive(CISet(), tau, n)
+
+
 class TestSingleAtomPolymatroid:
     def test_two_variable_values(self):
         h = single_atom_polymatroid(0b01, 2)
@@ -183,7 +234,8 @@ class TestPositiveMeasureExactness:
         return JointDistribution((2,) * n, tuple(probs))
 
     def test_exact_implication_holds(self):
-        from cirelax import atom_measure, entropic_table
+        from cirelax import entropic_table
+        from helpers import atom_measure
 
         rng = random.Random(83)
         checked = 0

@@ -305,7 +305,7 @@ class TestCounterexample:
 
     def test_unverified_single_atom_is_not_written(self, tmp_path, monkeypatch):
         from cirelax import cli
-        from cirelax.atoms import Verdict
+        from cirelax.implication import Verdict
 
         # atom {a,b} is covered by I(a;b|c), so the "refutation" leaves it at 1
         monkeypatch.setattr(cli, "implies_positive", lambda sigma, tau, n: Verdict(False, 0b011))
@@ -479,6 +479,18 @@ class TestEntropyCommand:
         dist.write_text("vars a:2\n0 1/2\n1 1/4\n")
         code, _, err = run(["entropy", "--dist", str(dist), "--term", "H(a)"])
         assert code == 2
+
+    def test_nan_probability_exits_2(self, tmp_path):
+        dist = tmp_path / "nan.dist"
+        dist.write_text("vars a:2\n0 nan\n1 0.5\n")
+        code, out, err = run(["entropy", "--dist", str(dist), "--term", "H(a)"])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_duplicate_set_exits_2(self, tmp_path):
+        table = tmp_path / "dup.tab"
+        table.write_text("polymatroid vars a b\nset a 1/1\nset a 2/1\nset b 1/1\n")
+        code, out, err = run(["entropy", "--table", str(table), "--term", "I(a;b)"])
+        assert (code, out) == (2, "") and "line 3: duplicate set" in err
 
     def test_requires_exactly_one_input(self, tmp_path):
         code, _, err = run(["entropy", "--term", "H(a)"])

@@ -161,8 +161,7 @@ class TestElementalDecompose:
         # the same identity with zero tolerance on exact random tables
         from fractions import Fraction
 
-        from cirelax import AtomMeasure
-        from helpers import polymatroid_from_atoms
+        from helpers import AtomMeasure, polymatroid_from_atoms
 
         rng = random.Random(27)
         for trial in range(50):

@@ -22,12 +22,17 @@ from cirelax import (
     parse_ci_triple,
     recursive_basis,
     simplex_solve,
-    single_atom_polymatroid,
     tightness_family,
     validate_bound,
 )
 
-from helpers import all_dags, lambda_by_highs, random_ci_set, random_triple
+from helpers import (
+    all_dags,
+    lambda_by_highs,
+    random_ci_set,
+    random_triple,
+    single_atom_polymatroid,
+)
 
 UABC = Universe(("A", "B", "C"))
 
@@ -50,6 +55,9 @@ class TestElementalInequalities:
             elemental_inequalities(6)
         with pytest.raises(CIError):
             elemental_inequalities(1)
+
+    def test_rows_are_built_once_per_n(self):
+        assert elemental_inequalities(4) is elemental_inequalities(4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_row_order(self, n):
@@ -285,8 +293,7 @@ class TestOptimalLambda:
         # lambda* maximizes I(tau)/I(sigma) over the cone, so no sampled
         # cone point may exceed it; points come from random non-negative
         # atom masses, an independent construction
-        from cirelax import AtomMeasure
-        from helpers import polymatroid_from_atoms
+        from helpers import AtomMeasure, polymatroid_from_atoms
 
         rng = random.Random(303)
         for trial in range(30):

@@ -15,8 +15,6 @@ from cirelax import (
     PolymatroidTable,
     Universe,
     VarSet,
-    atom_measure,
-    atoms_of,
     entropic_table,
     entropy,
     is_polymatroid,
@@ -24,10 +22,8 @@ from cirelax import (
     parity_refutation,
     parse_ci_triple,
     random_distribution,
-    single_atom_polymatroid,
 )
 from cirelax.distributions import format_distribution, linear_distribution, parse_distribution
-from cirelax.atoms import MAX_ATOM_VARIABLES
 from cirelax.polymatroids import (
     MAX_TABLE_VARIABLES,
     LinearRanks,
@@ -37,12 +33,16 @@ from cirelax.polymatroids import (
 )
 
 from helpers import (
+    MAX_ATOM_VARIABLES,
     all_canonical_triples,
+    atom_measure,
+    atoms_of,
     entropic_table_by_definition,
     gf2_rank,
     polymatroid_by_definition,
     random_ci_set,
     random_triple,
+    single_atom_polymatroid,
 )
 
 HALF = Fraction(1, 2)
@@ -482,6 +482,13 @@ class TestPolymatroidFiles:
         with pytest.raises(ParseError):
             read_polymatroid(str(path))
 
+    @pytest.mark.parametrize("first, again", [("a", "a"), ("a,b", "b,a")])
+    def test_duplicate_set_rejected(self, tmp_path, first, again):
+        path = tmp_path / "t.tab"
+        path.write_text(f"polymatroid vars a b\nset {first} 1/1\nset {again} 2/1\n")
+        with pytest.raises(ParseError, match="line 3: duplicate set"):
+            read_polymatroid(str(path))
+
     def test_header_capped_before_allocation(self, tmp_path):
         path = tmp_path / "t.tab"
         names = [f"v{i}" for i in range(MAX_TABLE_VARIABLES + 1)]
@@ -509,6 +516,14 @@ class TestDistributionFiles:
     def test_bad_sum_rejected(self):
         with pytest.raises(CIError):
             parse_distribution(["vars a:2", "0 1/2", "1 1/4"])
+
+    @pytest.mark.parametrize("cells", [
+        ["0 nan"], ["0 nan", "1 1.0"], ["0 -nan", "1 0.5"], ["0 inf", "1 -inf"],
+    ])
+    def test_non_finite_probability_rejected(self, cells):
+        # every comparison with NaN is false, so no sum or sign test may let it by
+        with pytest.raises(CIError):
+            parse_distribution(["vars a:2"] + cells)
 
     def test_float_mode(self):
         d, _ = parse_distribution(["vars a:2 b:2", "0 0 0.5", "1 1 0.5"])

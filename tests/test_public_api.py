@@ -9,14 +9,19 @@ import pytest
 import cirelax
 
 DELETED = (
+    ("cirelax", "AtomMeasure"),
+    ("cirelax", "atom_measure"),
+    ("cirelax", "atoms_of"),
+    ("cirelax", "atoms_of_set"),
     ("cirelax", "classify"),
+    ("cirelax", "measure_from_table"),
     ("cirelax", "polymatroid_from_atoms"),
     ("cirelax", "read_ci_file"),
     ("cirelax", "reduce_antecedents"),
-    ("cirelax.atoms", "polymatroid_from_atoms"),
-    ("cirelax.atoms", "reduce_antecedents"),
+    ("cirelax", "single_atom_polymatroid"),
     ("cirelax.core", "classify"),
     ("cirelax.core", "read_ci_file"),
+    ("cirelax.distributions", "atom_measure"),
 )
 
 
@@ -36,8 +41,15 @@ def test_deleted_name_is_not_importable(module, name):
         exec(f"from {module} import {name}", {})
 
 
+def test_atoms_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("cirelax.atoms")
+
+
 def test_deleted_members_are_gone():
+    from helpers import AtomMeasure
+
     assert not hasattr(cirelax.Universe(("a",)), "full")
-    assert not hasattr(cirelax.AtomMeasure(1, (0, 1)), "exact")
+    assert not hasattr(AtomMeasure(1, (0, 1)), "exact")
     fields = {f.name for f in dataclasses.fields(cirelax.ValidationReport)}
     assert "tolerance" not in fields
