@@ -3,6 +3,7 @@ and the names cut from the API stay gone."""
 
 import dataclasses
 import importlib
+import importlib.util
 
 import pytest
 
@@ -19,6 +20,8 @@ DELETED = (
     ("cirelax", "read_ci_file"),
     ("cirelax", "reduce_antecedents"),
     ("cirelax", "single_atom_polymatroid"),
+    ("cirelax.atoms", "polymatroid_from_atoms"),
+    ("cirelax.atoms", "reduce_antecedents"),
     ("cirelax.core", "classify"),
     ("cirelax.core", "read_ci_file"),
     ("cirelax.distributions", "atom_measure"),
@@ -36,9 +39,10 @@ def test_no_export_is_listed_twice():
 
 @pytest.mark.parametrize("module, name", DELETED)
 def test_deleted_name_is_not_importable(module, name):
-    assert not hasattr(importlib.import_module(module), name)
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}", {})
+    if importlib.util.find_spec(module) is not None:
+        assert not hasattr(importlib.import_module(module), name)
 
 
 def test_atoms_module_is_gone():
