@@ -9,7 +9,6 @@ from .core import (
     InternalCheckError,
     ParseError,
     Universe,
-    VarSet,
     elemental_decompose,
     parse_ci_lines,
     parse_ci_triple,
@@ -66,7 +65,6 @@ __all__ = [
     "UNBOUNDED",
     "Universe",
     "ValidationReport",
-    "VarSet",
     "Verdict",
     "active_trail",
     "check_marginal",

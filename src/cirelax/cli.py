@@ -28,10 +28,10 @@ from .core import (
     InternalCheckError,
     ParseError,
     Universe,
-    VarSet,
     _name_list,
     _payload_lines,
     collect_names,
+    members,
     parse_ci_lines,
     parse_ci_triple,
 )
@@ -94,7 +94,7 @@ def _parse_measure_term(text: str, universe: Universe) -> LinearFunctional:
         beta = universe.set_of(*_name_list(right))
         if not alpha:
             raise ParseError(f"empty entropy argument in {text!r}")
-        return LinearFunctional.from_terms((((alpha | beta).bits, 1), (beta.bits, -1)))
+        return LinearFunctional.from_terms(((alpha | beta, 1), (beta, -1)))
     raise ParseError(f"expected H(...) or I(...), got {text!r}")
 
 
@@ -186,9 +186,8 @@ def _cmd_closure(args) -> int:
         print("IMPLIED" if member else "UNKNOWN not-in-closure")
         print(f"tau={universe.render_triple(tau)}")
         return 0 if member else 1
-    ordered = sorted(
-        closure, key=lambda t: (t.x.sort_key(), t.y.sort_key(), t.z.sort_key())
-    )
+    # each side sorts by its index tuple, so I(a;b,c) comes before I(a;c)
+    ordered = sorted(closure, key=lambda t: tuple(tuple(members(s)) for s in (t.x, t.y, t.z)))
     print(f"closure size={len(ordered)}")
     for t in ordered:
         print(universe.render_triple(t))
@@ -228,9 +227,9 @@ def _cmd_entropy(args) -> int:
 
         def h(mask):
             try:
-                return entropy(dist, VarSet(mask))
+                return entropy(dist, mask)
             except CIError:
-                return entropy(dist.as_float(), VarSet(mask))
+                return entropy(dist.as_float(), mask)
 
     print(_render_value(_parse_measure_term(args.term, universe).evaluate(h)))
     return 0

@@ -1,8 +1,8 @@
 """Variable universes, variable sets, and conditional-independence triples.
 
 Variables are identified by indices 0..n-1; a :class:`Universe` maps them to
-names.  Sets of variables are bitmasks wrapped in :class:`VarSet`, and a CI
-statement (X;Y|Z) is a :class:`CITriple` of pairwise-disjoint variable sets,
+names.  A set of variables is an ``int`` mask with bit i for variable i, and
+a CI statement (X;Y|Z) is a :class:`CITriple` of pairwise-disjoint masks,
 stored in a canonical orientation so that (X;Y|Z) and (Y;X|Z) compare equal.
 """
 
@@ -30,65 +30,12 @@ class InternalCheckError(RuntimeError):
     """An internal consistency check failed; this indicates a bug."""
 
 
-@dataclass(frozen=True)
-class VarSet:
-    """A set of variable indices packed into a bitmask."""
-
-    bits: int = 0
-
-    @classmethod
-    def of(cls, *indices: int) -> "VarSet":
-        mask = 0
-        for i in indices:
-            if i < 0:
-                raise CIError(f"negative variable index {i}")
-            mask |= 1 << i
-        return cls(mask)
-
-    def __or__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.bits | other.bits)
-
-    def __and__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.bits & other.bits)
-
-    def __sub__(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.bits & ~other.bits)
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def isdisjoint(self, other: "VarSet") -> bool:
-        return not self.bits & other.bits
-
-    def issubset(self, other: "VarSet") -> bool:
-        return not self.bits & ~other.bits
-
-    def min(self) -> int:
-        if not self.bits:
-            raise CIError("empty variable set has no minimum")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "VarSet{%s}" % ",".join(str(i) for i in self)
-
-
-_EMPTY = VarSet(0)
+def members(mask: int) -> Iterator[int]:
+    """The indices of the bits set in ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -105,35 +52,36 @@ def submasks(mask: int) -> Iterator[int]:
 class CITriple:
     """A conditional-independence statement (x ; y | z).
 
-    x and y are non-empty and x, y, z are pairwise disjoint.  The side that
-    holds the lower lowest index is stored first, so the symmetric
-    statements (X;Y|Z) and (Y;X|Z) are the same value.  As the sides are
-    disjoint, that is the side with the lexicographically smaller index
-    tuple.
+    x, y and z are variable masks: x and y non-empty, z possibly empty, all
+    three non-negative and pairwise disjoint.  The side that holds the lower
+    lowest index is stored first, so the symmetric statements (X;Y|Z) and
+    (Y;X|Z) are the same value.  As the sides are disjoint, that is the side
+    with the lexicographically smaller index tuple.
     """
 
-    x: VarSet
-    y: VarSet
-    z: VarSet = _EMPTY
+    x: int
+    y: int
+    z: int = 0
 
     def __post_init__(self) -> None:
-        xb, yb, zb = self.x.bits, self.y.bits, self.z.bits
-        if not xb or not yb:
+        x, y, z = self.x, self.y, self.z
+        if x < 0 or y < 0 or z < 0:
+            raise CIError("the parts of a CI triple must be non-negative masks")
+        if not x or not y:
             raise CIError("both sides of a CI triple must be non-empty")
-        if xb & yb or (xb | yb) & zb:
+        if x & y or (x | y) & z:
             raise CIError("the parts of a CI triple must be pairwise disjoint")
-        if yb & -yb < xb & -xb:
-            x, y = self.x, self.y
+        if y & -y < x & -x:
             object.__setattr__(self, "x", y)
             object.__setattr__(self, "y", x)
 
     @property
-    def mentioned(self) -> VarSet:
+    def mentioned(self) -> int:
         return self.x | self.y | self.z
 
     def __repr__(self) -> str:
-        def part(vs: VarSet) -> str:
-            return ",".join(str(i) for i in vs)
+        def part(vs: int) -> str:
+            return ",".join(str(i) for i in members(vs))
 
         if self.z:
             return f"({part(self.x)};{part(self.y)}|{part(self.z)})"
@@ -164,8 +112,9 @@ class CISet:
     def __contains__(self, t: CITriple) -> bool:
         return t in self.triples
 
-    def mentioned(self) -> VarSet:
-        out = _EMPTY
+    @property
+    def mentioned(self) -> int:
+        out = 0
         for t in self.triples:
             out |= t.mentioned
         return out
@@ -174,14 +123,10 @@ class CISet:
         return "CISet[%s]" % ", ".join(repr(t) for t in self.triples)
 
 
-def check_fits(obj: CITriple | CISet | VarSet, n: int) -> None:
-    """Raise unless every index mentioned by ``obj`` is below ``n``."""
-    if isinstance(obj, VarSet):
-        top = obj.bits
-    elif isinstance(obj, CITriple):
-        top = obj.mentioned.bits
-    else:
-        top = obj.mentioned().bits
+def check_fits(obj: CITriple | CISet | int, n: int) -> None:
+    """Raise unless every index mentioned by ``obj`` is below ``n``; a
+    negative mask never fits."""
+    top = obj if isinstance(obj, int) else obj.mentioned
     if top >> n:
         raise CIError(f"variable index out of range for a universe of {n}")
 
@@ -220,17 +165,20 @@ class Universe:
         except KeyError:
             raise ParseError(f"unknown variable name {name!r}") from None
 
-    def set_of(self, *names: str) -> VarSet:
-        return VarSet.of(*(self.index(nm) for nm in names))
+    def set_of(self, *names: str) -> int:
+        mask = 0
+        for nm in names:
+            mask |= 1 << self.index(nm)
+        return mask
 
     def triple(self, xs: Sequence[str], ys: Sequence[str], zs: Sequence[str] = ()) -> CITriple:
         return CITriple(self.set_of(*xs), self.set_of(*ys), self.set_of(*zs))
 
-    def render_vars(self, vs: VarSet) -> str:
-        return ",".join(self.names[i] for i in vs)
+    def render_vars(self, vs: int) -> str:
+        return ",".join(self.names[i] for i in members(vs))
 
     def render_atom(self, atom_mask: int) -> str:
-        return "{%s}" % self.render_vars(VarSet(atom_mask))
+        return "{%s}" % self.render_vars(atom_mask)
 
     def render_triple(self, t: CITriple) -> str:
         if t.z:
@@ -323,12 +271,11 @@ def elemental_decompose(t: CITriple) -> tuple[CITriple, ...]:
     result is deterministic.
     """
     out: list[CITriple] = []
-    seen_y = _EMPTY
-    for b in t.y:
-        seen_x = _EMPTY
-        for a in t.x:
-            cond = t.z | seen_y | seen_x
-            out.append(CITriple(VarSet.of(a), VarSet.of(b), cond))
-            seen_x |= VarSet.of(a)
-        seen_y |= VarSet.of(b)
+    seen_y = 0
+    for b in members(t.y):
+        seen_x = 0
+        for a in members(t.x):
+            out.append(CITriple(1 << a, 1 << b, t.z | seen_y | seen_x))
+            seen_x |= 1 << a
+        seen_y |= 1 << b
     return tuple(out)

@@ -12,19 +12,20 @@ from .core import (
     CITriple,
     ParseError,
     Universe,
-    VarSet,
     _payload_lines,
     check_fits,
+    members,
 )
 
 
 @dataclass(frozen=True)
 class Dag:
-    """A labelled DAG given by per-node parent sets; its names are
-    checked as a ``Universe`` once, at construction."""
+    """A labelled DAG given by per-node parent masks (bit p of
+    ``parents[v]`` for an edge p -> v); its names are checked as a
+    ``Universe`` once, at construction."""
 
     names: tuple[str, ...]
-    parents: tuple[VarSet, ...]
+    parents: tuple[int, ...]
 
     def __post_init__(self) -> None:
         universe = Universe(tuple(self.names))
@@ -35,21 +36,21 @@ class Dag:
         if len(self.parents) != n:
             raise CIError("one parent set per node is required")
         for i, ps in enumerate(self.parents):
-            if ps.bits >> n:
+            if ps >> n:
                 raise CIError(f"parent index out of range for node {i}")
-            if i in ps:
+            if ps >> i & 1:
                 raise CIError(f"node {i} cannot be its own parent")
         # Kahn's algorithm, emitting the smallest ready index first
         remaining = set(range(n))
-        placed = VarSet(0)
+        placed = 0
         order: list[int] = []
         while remaining:
-            ready = [i for i in remaining if self.parents[i].issubset(placed)]
+            ready = [i for i in remaining if not self.parents[i] & ~placed]
             if not ready:
                 raise CIError("graph contains a cycle")
             v = min(ready)
             remaining.remove(v)
-            placed |= VarSet.of(v)
+            placed |= 1 << v
             order.append(v)
         object.__setattr__(self, "_order", tuple(order))
 
@@ -66,20 +67,19 @@ class Dag:
         index first."""
         return self._order  # type: ignore[attr-defined]
 
-    def ancestral_closure(self, vs: VarSet) -> VarSet:
-        """``vs`` together with all of its ancestors."""
-        out = vs
-        stack = list(vs)
-        while stack:
-            v = stack.pop()
-            for p in self.parents[v]:
-                if p not in out:
-                    out |= VarSet.of(p)
-                    stack.append(p)
+    def ancestral_closure(self, vs: int) -> int:
+        """The mask ``vs`` together with all of its ancestors."""
+        out = frontier = vs
+        while frontier:
+            grown = 0
+            for v in members(frontier):
+                grown |= self.parents[v]
+            frontier = grown & ~out
+            out |= frontier
         return out
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(p, c) for c in range(self.n) for p in self.parents[c]]
+        return [(p, c) for c in range(self.n) for p in members(self.parents[c])]
 
     @classmethod
     def from_edges(
@@ -89,7 +89,7 @@ class Dag:
         parents = [0] * universe.n
         for parent, child in edges:
             parents[universe.index(child)] |= 1 << universe.index(parent)
-        return cls(tuple(names), tuple(VarSet(b) for b in parents))
+        return cls(tuple(names), tuple(parents))
 
     def __repr__(self) -> str:
         es = ", ".join(f"{self.names[p]}->{self.names[c]}" for p, c in self.edges())
@@ -127,23 +127,24 @@ def recursive_basis(dag: Dag) -> CISet:
     Statements with an empty left-over set carry no information and are
     omitted.
     """
-    placed = VarSet(0)
+    placed = 0
     triples: list[CITriple] = []
     for v in dag.topological_order():
         b = dag.parents[v]
-        r = placed - b
+        r = placed & ~b
         if r:
-            triples.append(CITriple(VarSet.of(v), r, b))
-        placed |= VarSet.of(v)
+            triples.append(CITriple(1 << v, r, b))
+        placed |= 1 << v
     return CISet(tuple(triples))
 
 
-def d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
-    """Whether ``z`` blocks every trail between ``x`` and ``y`` in ``dag``."""
+def d_separated(dag: Dag, x: int, y: int, z: int) -> bool:
+    """Whether the mask ``z`` blocks every trail between the masks ``x``
+    and ``y`` in ``dag``."""
     return active_trail(dag, x, y, z) is None
 
 
-def active_trail(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> tuple[int, ...] | None:
+def active_trail(dag: Dag, x: int, y: int, z: int) -> tuple[int, ...] | None:
     """A shortest trail from ``x`` to ``y`` that ``z`` leaves active, as its
     nodes in order, or ``None`` when ``z`` d-separates ``x`` from ``y``.
 
@@ -160,30 +161,31 @@ def active_trail(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> tuple[int, ...] |
     check_fits(x | y | z, dag.n)
     if not x or not y:
         raise CIError("x and y must be non-empty")
-    if not (x.isdisjoint(y) and x.isdisjoint(z) and y.isdisjoint(z)):
+    if x & y or x & z or y & z:
         raise CIError("x, y, z must be pairwise disjoint")
 
     children: list[list[int]] = [[] for _ in range(dag.n)]
     for c, ps in enumerate(dag.parents):
-        for p in ps:
+        for p in members(ps):
             children[p].append(c)
     ancestors = dag.ancestral_closure(z)
     # state 2v: v entered up, 2v + 1: v entered down; came_from[state] = previous state
-    came_from = {2 * v: -1 for v in x}
+    came_from = {2 * v: -1 for v in members(x)}
     queue = deque(came_from)
     while queue:
         state = queue.popleft()
         v = state >> 1
-        if v in y:
+        if y >> v & 1:
             trail = []
             while state >= 0:
                 trail.append(state >> 1)
                 state = came_from[state]
             return tuple(reversed(trail))
-        moves = [] if v in z else [2 * c + 1 for c in children[v]]
+        blocked = z >> v & 1
+        moves = [] if blocked else [2 * c + 1 for c in children[v]]
         # on to the parents: entered down only at an active collider
-        if (v in ancestors) if state & 1 else (v not in z):
-            moves += [2 * p for p in dag.parents[v]]
+        if (ancestors >> v & 1) if state & 1 else not blocked:
+            moves += [2 * p for p in members(dag.parents[v])]
         for nxt in moves:
             if nxt not in came_from:
                 came_from[nxt] = state

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, mul
 from typing import Sequence
 
@@ -25,9 +26,9 @@ from .core import (
     CITriple,
     ParseError,
     Universe,
-    VarSet,
     _payload_lines,
     check_fits,
+    members,
 )
 from .polymatroids import PolymatroidTable
 
@@ -82,15 +83,6 @@ class JointDistribution:
     def exact(self) -> bool:
         return self._exact  # type: ignore[attr-defined]
 
-    def strides(self) -> tuple[int, ...]:
-        return _strides(self.domain_sizes)
-
-    def outcome(self, index: int) -> tuple[int, ...]:
-        vals = []
-        for stride, size in zip(self.strides(), self.domain_sizes):
-            vals.append(index // stride % size)
-        return tuple(vals)
-
     def as_float(self) -> "JointDistribution":
         if not self.exact:
             return self
@@ -122,8 +114,8 @@ def _entropy_of(probs, exact: bool):
     return -sum(map(mul, nonzero, map(math.log2, nonzero)))
 
 
-def entropy(d: JointDistribution, alpha: VarSet):
-    """H of the marginal on ``alpha``, in bits; H(empty) = 0.
+def entropy(d: JointDistribution, alpha: int):
+    """H of the marginal on the variable mask ``alpha``, in bits; H(0) = 0.
 
     Exact tables yield an exact ``Fraction`` (every marginal probability
     must be a power of two); float tables yield a float.  The marginal is
@@ -136,7 +128,7 @@ def entropy(d: JointDistribution, alpha: VarSet):
     sizes = d.domain_sizes
     cells = list(d.probs)
     for v in reversed(range(d.n)):
-        if v not in alpha:
+        if not alpha >> v & 1:
             cells = _sum_out(cells, math.prod(sizes[:v]), sizes[v])
     return _entropy_of(cells, d.exact)
 
@@ -216,12 +208,14 @@ def linear_distribution(forms: Sequence[int]) -> JointDistribution:
     The assignments are visited in Gray-code order, one bit flip apiece.
     """
     n = len(forms)
-    used = VarSet(0)
+    used = 0
     for form in forms:
-        used |= VarSet(form)
+        used |= form
     # columns[j]: the outcome index bits that the j-th used bit flips; variable
     # v sits at index bit n-1-v (row-major layout, last index fastest)
-    columns = [sum(1 << (n - 1 - v) for v in range(n) if forms[v] >> b & 1) for b in used]
+    columns = [
+        sum(1 << (n - 1 - v) for v in range(n) if forms[v] >> b & 1) for b in members(used)
+    ]
     hits = [1] + [0] * ((1 << n) - 1)  # the all-zero assignment
     index = 0
     for step in range(1, 1 << len(columns)):
@@ -234,9 +228,9 @@ def linear_distribution(forms: Sequence[int]) -> JointDistribution:
 def _parity_forms(n: int, tau: CITriple) -> tuple[int, ...]:
     """Variable v is fair bit v, except tau's anchor, the lowest variable of
     ``tau.x``: the XOR of the bits of tau's other variables."""
-    anchor = tau.x.min()
+    anchor = (tau.x & -tau.x).bit_length() - 1
     forms = [1 << v for v in range(n)]
-    forms[anchor] = (tau.mentioned - VarSet.of(anchor)).bits
+    forms[anchor] = tau.mentioned & ~(1 << anchor)
     return tuple(forms)
 
 
@@ -265,6 +259,8 @@ def random_distribution(
     sizes = tuple(domain_sizes) if domain_sizes is not None else (2,) * n
     if len(sizes) != n:
         raise CIError("one domain size per variable is required")
+    if any(s < 1 for s in sizes):
+        raise CIError("domain sizes must be at least 1")
     count = math.prod(sizes)
     if count > MAX_OUTCOMES:
         raise CapExceeded(f"at most {MAX_OUTCOMES} outcomes are supported")
@@ -287,10 +283,11 @@ def format_distribution(d: JointDistribution, universe: Universe) -> str:
     if universe.n != d.n:
         raise CIError("universe size does not match the distribution")
     lines = ["vars " + " ".join(f"{nm}:{s}" for nm, s in zip(universe.names, d.domain_sizes))]
-    for index, p in enumerate(d.probs):
+    # product() walks the outcomes in the row-major order of ``d.probs``
+    for outcome, p in zip(product(*map(range, d.domain_sizes)), d.probs):
         if p == 0:
             continue
-        vals = " ".join(str(v) for v in d.outcome(index))
+        vals = " ".join(map(str, outcome))
         if isinstance(p, (Fraction, int)):
             p = Fraction(p)
             lines.append(f"{vals} {p.numerator}/{p.denominator}")
@@ -306,12 +303,12 @@ def write_distribution(d: JointDistribution, universe: Universe, path: str) -> N
 
 def parse_distribution(lines) -> tuple[JointDistribution, Universe]:
     payload = list(_payload_lines(lines))
-    if not payload or not payload[0][1].startswith("vars"):
+    header = payload[0][1].split() if payload else []
+    if header[:1] != ["vars"]:
         raise ParseError("distribution files start with a 'vars name:card ...' header")
-    header = payload[0][1].split()[1:]
     names: list[str] = []
     sizes: list[int] = []
-    for tok in header:
+    for tok in header[1:]:
         nm, _, card = tok.partition(":")
         if not card.isdigit() or int(card) < 1:
             raise ParseError(f"bad domain declaration {tok!r}")

@@ -34,9 +34,9 @@ from .core import (
     CITriple,
     InternalCheckError,
     Universe,
-    VarSet,
     check_fits,
     elemental_decompose,
+    members,
     submasks,
 )
 from .dag import Dag, active_trail, recursive_basis
@@ -165,10 +165,9 @@ def implies_positive(sigma: CISet, tau: CITriple, n: int) -> Verdict:
         raise CapExceeded(f"atom scans support 1..{MAX_TABLE_VARIABLES} variables, got {n}")
     check_fits(tau, n)
     check_fits(sigma, n)
-    terms = [(s.x.bits, s.y.bits, s.z.bits) for s in sigma]
-    xb, yb = tau.x.bits, tau.y.bits
-    for v in submasks(((1 << n) - 1) & ~tau.z.bits):
-        if v & xb and v & yb and not any(
+    terms = [(s.x, s.y, s.z) for s in sigma]
+    for v in submasks(((1 << n) - 1) & ~tau.z):
+        if v & tau.x and v & tau.y and not any(
             v & sx and v & sy and not v & sz for sx, sy, sz in terms
         ):
             return Verdict(False, v)
@@ -190,16 +189,16 @@ def parity_refutation(
     before they are returned; ``linear_rank_table`` and
     ``linear_distribution`` turn them into a table or a distribution.
     """
-    for a in tau.x:
-        for b in tau.y:
-            ab = VarSet.of(a, b)
-            for ext in submasks((tau.mentioned - ab).bits):
-                s = ab | VarSet(ext)
+    for a in members(tau.x):
+        for b in members(tau.y):
+            ab = 1 << a | 1 << b
+            for ext in submasks(tau.mentioned & ~ab):
+                s = ab | ext
                 if not any(
-                    s.issubset(sigma.mentioned) and sigma.x & s and sigma.y & s
+                    not s & ~sigma.mentioned and sigma.x & s and sigma.y & s
                     for sigma in antecedents
                 ):
-                    reduced = CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
+                    reduced = CITriple(1 << a, 1 << b, ext)
                     forms = _parity_forms(n, reduced)
                     _verify_refutation(forms, antecedents, tau)
                     return reduced, forms
@@ -228,12 +227,12 @@ def _trail_refutation(dag: Dag, tau: CITriple) -> tuple[tuple[int, ...], tuple[i
     parents = dag.parents
     # toward[v]: a child of v on a shortest directed path from v to z
     toward: dict[int, int] = {}
-    frontier = list(z)
+    frontier = list(members(z))
     while frontier:
         step = []
         for child in frontier:
-            for p in parents[child]:
-                if p not in z and p not in toward:
+            for p in members(parents[child] & ~z):
+                if p not in toward:
                     toward[p] = child
                     step.append(p)
         frontier = step
@@ -246,18 +245,18 @@ def _trail_refutation(dag: Dag, tau: CITriple) -> tuple[tuple[int, ...], tuple[i
         xored = [0] * dag.n  # xored[v]: mask of the parents whose forms v XORs
         for i, v in enumerate(trail):
             for w in trail[max(i - 1, 0):i] + trail[i + 1:i + 2]:
-                if w in parents[v]:
+                if parents[v] >> w & 1:
                     xored[v] |= 1 << w
         sources = [v for v in trail if not xored[v]]
         colliders = [i for i, v in enumerate(trail) if xored[v].bit_count() == 2]
         for i in colliders:
             path = [trail[i]]
-            while path[-1] not in z:
+            while not z >> path[-1] & 1:
                 v = toward[path[-1]]
-                if v not in z and (v in position or v in x or v in y):
+                if not z >> v & 1 and (v in position or (x | y) >> v & 1):
                     q = position.get(v)
                     inner = tuple(path[1:])
-                    if v in y or (q is not None and q > i):
+                    if y >> v & 1 or (q is not None and q > i):
                         # x ... -> collider -> inner -> v ... y
                         tail = trail[q:] if q is not None else (v,)
                         trail = trail[:i + 1] + inner + tail
@@ -276,7 +275,7 @@ def _trail_refutation(dag: Dag, tau: CITriple) -> tuple[tuple[int, ...], tuple[i
     for k, v in enumerate(sources):
         forms[v] = 1 << k
     for v in dag.topological_order():
-        for p in VarSet(xored[v]):
+        for p in members(xored[v]):
             forms[v] ^= forms[p]
     return trail, tuple(forms)
 
@@ -316,7 +315,7 @@ def _cover_chain(
     antecedents: tuple[CITriple, ...],
     a: int,
     b: int,
-    cond_bits: int,
+    cond: int,
     memo: dict[int, tuple[CITriple, ...] | None],
 ) -> tuple[CITriple, ...] | None:
     """Antecedents bounding I(a;b|C), if any, as a chain of distinct terms.
@@ -327,13 +326,13 @@ def _cover_chain(
     C & X recurses.  The terms of a successful chain are pairwise distinct,
     so I(a;b|C) <= sum over the chain <= h(antecedents).
     """
-    if cond_bits in memo:
-        return memo[cond_bits]
-    need = (1 << a) | (1 << b) | cond_bits
+    if cond in memo:
+        return memo[cond]
+    need = (1 << a) | (1 << b) | cond
     result: tuple[CITriple, ...] | None = None
     for sigma in antecedents:
         for xs, ys in ((sigma.x, sigma.y), (sigma.y, sigma.x)):
-            if a in xs and b in ys and not need & ~(xs.bits | ys.bits):
+            if xs >> a & 1 and ys >> b & 1 and not need & ~(xs | ys):
                 result = (sigma,)
                 break
         if result:
@@ -342,12 +341,12 @@ def _cover_chain(
         for sigma in antecedents:
             for xs, ys in ((sigma.x, sigma.y), (sigma.y, sigma.x)):
                 if (
-                    a in xs
-                    and b in xs
-                    and not need & ~(xs.bits | ys.bits)
-                    and ys.bits & cond_bits
+                    xs >> a & 1
+                    and xs >> b & 1
+                    and not need & ~(xs | ys)
+                    and ys & cond
                 ):
-                    sub = _cover_chain(antecedents, a, b, cond_bits & xs.bits, memo)
+                    sub = _cover_chain(antecedents, a, b, cond & xs, memo)
                     if sub is not None:
                         if sigma in sub:
                             raise InternalCheckError("cover chain revisited a term")
@@ -355,7 +354,7 @@ def _cover_chain(
                         break
             if result:
                 break
-    memo[cond_bits] = result
+    memo[cond] = result
     return result
 
 
@@ -378,16 +377,16 @@ def check_marginal(sigma: CISet, tau: CITriple, n: int) -> RelaxationCertificate
     covers: list[tuple[CITriple, tuple[CITriple, ...]]] = []
     uncovered: CITriple | None = None
     for elemental in elementals:
-        a = elemental.x.min()
-        b = elemental.y.min()
-        chain = _cover_chain(antecedents, a, b, elemental.z.bits, {})
+        a = elemental.x.bit_length() - 1  # the sides of an elemental are singletons
+        b = elemental.y.bit_length() - 1
+        chain = _cover_chain(antecedents, a, b, elemental.z, {})
         if chain is None:
             uncovered = elemental
             break
         covers.append((elemental, chain))
 
     if uncovered is None:
-        lam = Fraction(len(tau.x) * len(tau.y))
+        lam = Fraction(tau.x.bit_count() * tau.y.bit_count())
         multiplicity: dict[CITriple, int] = {}
         for _, chain in covers:
             for s in chain:
@@ -423,11 +422,11 @@ def _unary_consequences(t: CITriple) -> list[CITriple]:
     """Everything derivable from one triple by shrinking a side and moving
     any part of the removed variables into the conditioning set."""
     return [
-        CITriple(VarSet(kept), other, t.z | VarSet(moved))
+        CITriple(kept, other, t.z | moved)
         for side, other in ((t.x, t.y), (t.y, t.x))
-        for kept in submasks(side.bits)
+        for kept in submasks(side)
         if kept
-        for moved in submasks(side.bits ^ kept)
+        for moved in submasks(side ^ kept)
     ]
 
 
@@ -437,7 +436,7 @@ def _contractions(t1: CITriple, t2: CITriple) -> list[CITriple]:
     for x1, y1 in ((t1.x, t1.y), (t1.y, t1.x)):
         want_z = t1.z | y1
         for x2, w2 in ((t2.x, t2.y), (t2.y, t2.x)):
-            if x1.bits == x2.bits and t2.z.bits == want_z.bits:
+            if x1 == x2 and t2.z == want_z:
                 out.append(CITriple(x1, y1 | w2, t1.z))
     return out
 
@@ -478,10 +477,8 @@ def tightness_family(n: int) -> tuple[CISet, CITriple]:
         raise CIError("the tightness family needs at least two variables")
     triples = []
     for i in range(1, n):
-        triples.append(
-            CITriple(VarSet.of(0), VarSet.of(i), VarSet(((1 << i) - 1) & ~1))
-        )
-    tau = CITriple(VarSet.of(0), VarSet(((1 << n) - 1) & ~1))
+        triples.append(CITriple(1, 1 << i, ((1 << i) - 1) & ~1))
+    tau = CITriple(1, ((1 << n) - 1) & ~1)
     return CISet(tuple(triples)), tau
 
 

@@ -64,10 +64,10 @@ class LinearFunctional:
     def cmi(cls, t: CITriple) -> "LinearFunctional":
         """The four-term mutual-information form of a triple."""
         return cls.from_terms((
-            (t.z.bits | t.x.bits, _F1),
-            (t.z.bits | t.y.bits, _F1),
-            (t.z.bits | t.x.bits | t.y.bits, -_F1),
-            (t.z.bits, -_F1),
+            (t.z | t.x, _F1),
+            (t.z | t.y, _F1),
+            (t.z | t.x | t.y, -_F1),
+            (t.z, -_F1),
         ))
 
     @classmethod

@@ -20,7 +20,6 @@ from .core import (
     CITriple,
     ParseError,
     Universe,
-    VarSet,
     _payload_lines,
     check_fits,
     submasks,
@@ -48,17 +47,16 @@ class PolymatroidTable:
     def exact(self) -> bool:
         return all(isinstance(v, (Fraction, int)) for v in self.values)
 
-    def value(self, vs: VarSet | int):
-        mask = vs.bits if isinstance(vs, VarSet) else vs
+    def value(self, mask: int):
         return self.values[mask]
 
     def cmi(self, t: CITriple):
         """Conditional mutual information of (x;y|z) read off the table."""
         check_fits(t, self.n)
         v = self.values
-        zx = t.z.bits | t.x.bits
-        zy = t.z.bits | t.y.bits
-        return v[zx] + v[zy] - v[zx | t.y.bits] - v[t.z.bits]
+        zx = t.z | t.x
+        zy = t.z | t.y
+        return v[zx] + v[zy] - v[zx | t.y] - v[t.z]
 
     def sigma_value(self, sigma: CISet):
         return sum(self.cmi(t) for t in sigma)
@@ -73,7 +71,7 @@ def write_polymatroid(table: PolymatroidTable, universe: Universe, path: str) ->
     lines = ["polymatroid vars " + " ".join(universe.names)]
     for mask in range(1, 1 << table.n):
         v = Fraction(table.values[mask])
-        lines.append(f"set {universe.render_vars(VarSet(mask))} {v.numerator}/{v.denominator}")
+        lines.append(f"set {universe.render_vars(mask)} {v.numerator}/{v.denominator}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -96,7 +94,7 @@ def read_polymatroid(path: str) -> tuple[PolymatroidTable, Universe]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "set":
             raise ParseError(f"line {lineno}: expected 'set NAMES VALUE'")
-        mask = universe.set_of(*parts[1].split(",")).bits
+        mask = universe.set_of(*parts[1].split(","))
         if mask in seen:
             raise ParseError(f"line {lineno}: duplicate set")
         seen.add(mask)
@@ -182,9 +180,9 @@ class LinearRanks:
     def cmi(self, t: CITriple) -> int:
         """Conditional mutual information of (x;y|z), from four ranks."""
         check_fits(t, self.n)
-        zx = t.z.bits | t.x.bits
-        zy = t.z.bits | t.y.bits
-        return self.value(zx) + self.value(zy) - self.value(zx | t.y.bits) - self.value(t.z.bits)
+        zx = t.z | t.x
+        zy = t.z | t.y
+        return self.value(zx) + self.value(zy) - self.value(zx | t.y) - self.value(t.z)
 
 
 def elemental_rows(n: int) -> Iterator[tuple[int, int, int, int]]:

@@ -10,9 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, VarSet, entropic_table
-from cirelax.core import CapExceeded, check_fits
+from cirelax import CIError, CISet, CITriple, Dag, PolymatroidTable, entropic_table
+from cirelax.core import CapExceeded, check_fits, members
 from cirelax.polymatroids import MAX_TABLE_VARIABLES, linear_rank_table
+
+
+def mask(*indices: int) -> int:
+    """The variable mask with bit i set for each index i."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
 
 
 def all_dags(n: int) -> list[Dag]:
@@ -26,7 +34,7 @@ def all_dags(n: int) -> list[Dag]:
             if bits >> k & 1:
                 parents[j] |= 1 << i
         try:
-            out.append(Dag(names, tuple(VarSet(b) for b in parents)))
+            out.append(Dag(names, tuple(parents)))
         except CIError:
             continue
     return out
@@ -41,7 +49,7 @@ def random_dag(n: int, rng: random.Random, edge_prob: float = 0.5) -> Dag:
             if rng.random() < edge_prob:
                 parents[child] |= 1 << parent
     names = tuple(f"X{i + 1}" for i in range(n))
-    return Dag(names, tuple(VarSet(b) for b in parents))
+    return Dag(names, tuple(parents))
 
 
 def random_triple(n: int, rng: random.Random, allow_z: bool = True) -> CITriple:
@@ -56,7 +64,7 @@ def random_triple(n: int, rng: random.Random, allow_z: bool = True) -> CITriple:
             elif role == 2 and allow_z:
                 z |= 1 << i
         if x and y:
-            return CITriple(VarSet(x), VarSet(y), VarSet(z))
+            return CITriple(x, y, z)
 
 
 def random_marginal_set(n: int, rng: random.Random, size: int) -> CISet:
@@ -82,7 +90,7 @@ def all_canonical_triples(n: int) -> list[CITriple]:
                 z |= 1 << i
         if not x or not y:
             continue
-        t = CITriple(VarSet(x), VarSet(y), VarSet(z))
+        t = CITriple(x, y, z)
         if t not in seen:
             seen.add(t)
             out.append(t)
@@ -96,13 +104,13 @@ def elemental_queries(n: int, max_z: int | None = None):
         top = len(rest) if max_z is None else min(max_z, len(rest))
         for zlen in range(top + 1):
             for zs in itertools.combinations(rest, zlen):
-                yield VarSet.of(i), VarSet.of(j), VarSet.of(*zs)
+                yield mask(i), mask(j), mask(*zs)
 
 
 def descendants(dag: Dag, v: int) -> set[int]:
     children = {i: [] for i in range(dag.n)}
     for c in range(dag.n):
-        for p in dag.parents[c]:
+        for p in members(dag.parents[c]):
             children[p].append(c)
     out: set[int] = set()
     stack = [v]
@@ -115,10 +123,10 @@ def descendants(dag: Dag, v: int) -> set[int]:
     return out
 
 
-def path_d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
+def path_d_separated(dag: Dag, x: int, y: int, z: int) -> bool:
     """Independent d-separation oracle: enumerate every undirected simple
     path and apply the chain/fork/collider blocking rules directly."""
-    zset = set(z)
+    zset = set(members(z))
     arrows = set(dag.edges())
     neighbours = {i: set() for i in range(dag.n)}
     for p, c in arrows:
@@ -136,8 +144,8 @@ def path_d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
                 return True
         return False
 
-    for s in x:
-        for t in y:
+    for s in members(x):
+        for t in members(y):
             stack = [[s]]
             while stack:
                 path = stack.pop()
@@ -154,7 +162,7 @@ def path_d_separated(dag: Dag, x: VarSet, y: VarSet, z: VarSet) -> bool:
 
 def brute_atoms(t: CITriple, n: int) -> set[frozenset[int]]:
     """Independent atom oracle using plain Python sets."""
-    xs, ys, zs = set(t.x), set(t.y), set(t.z)
+    xs, ys, zs = set(members(t.x)), set(members(t.y)), set(members(t.z))
     out = set()
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -165,7 +173,7 @@ def brute_atoms(t: CITriple, n: int) -> set[frozenset[int]]:
 
 
 def atomset_as_frozensets(atoms) -> set[frozenset[int]]:
-    return {frozenset(VarSet(mask)) for mask in atoms}
+    return {frozenset(members(atom)) for atom in members(atoms)}
 
 
 def polymatroid_by_definition(table, tol=0) -> bool:
@@ -209,7 +217,7 @@ def polymatroid_from_atoms(measure) -> PolymatroidTable:
     return PolymatroidTable(n, values)
 
 
-def entropy_by_definition(d, alpha: VarSet):
+def entropy_by_definition(d, alpha: int):
     """Independent entropy oracle: one pass over the joint, keyed by the
     outcome's values on ``alpha``.  Exact tables need dyadic marginals and
     raise ``CIError`` otherwise, as ``entropy`` does."""
@@ -219,7 +227,7 @@ def entropy_by_definition(d, alpha: VarSet):
     acc: dict[tuple[int, ...], object] = {}
     for index, p in enumerate(d.probs):
         if p:
-            key = tuple(index // strides[i] % d.domain_sizes[i] for i in alpha)
+            key = tuple(index // strides[i] % d.domain_sizes[i] for i in members(alpha))
             acc[key] = acc.get(key, 0) + p
     if not d.exact:
         return -sum(p * math.log2(p) for p in acc.values()) if alpha else 0.0
@@ -236,7 +244,7 @@ def entropic_table_by_definition(d) -> PolymatroidTable:
     """Independent entropy-table oracle: one pass over the whole joint per
     subset.  O(4^n), so keep n small."""
     return PolymatroidTable(
-        d.n, tuple(entropy_by_definition(d, VarSet(m)) for m in range(1 << d.n))
+        d.n, tuple(entropy_by_definition(d, m) for m in range(1 << d.n))
     )
 
 
@@ -274,7 +282,7 @@ def lambda_by_highs(sigma, tau, n: int) -> float | None:
         return f
 
     def cmi(t: CITriple) -> np.ndarray:
-        x, y, z = t.x.bits, t.y.bits, t.z.bits
+        x, y, z = t.x, t.y, t.z
         return form(((x | z, 1), (y | z, 1), (x | y | z, -1), (z, -1)))
 
     rows = []  # each row r means r . h >= 0
@@ -311,7 +319,7 @@ def _check_atom_cap(n: int) -> None:
         raise CapExceeded(f"atom sets support 1..{MAX_ATOM_VARIABLES} variables, got {n}")
 
 
-def atoms_of(t: CITriple, n: int) -> VarSet:
+def atoms_of(t: CITriple, n: int) -> int:
     """The atoms covered by the CI term (x;y|z).
 
     Bit s of the result is set when the atom with positive-form variable
@@ -320,17 +328,16 @@ def atoms_of(t: CITriple, n: int) -> VarSet:
     """
     _check_atom_cap(n)
     check_fits(t, n)
-    xb, yb, zb = t.x.bits, t.y.bits, t.z.bits
     out = 0
     for s in range(1, 1 << n):
-        if not s & zb and s & xb and s & yb:
+        if not s & t.z and s & t.x and s & t.y:
             out |= 1 << s
-    return VarSet(out)
+    return out
 
 
-def atoms_of_set(sigma: CISet, n: int) -> VarSet:
+def atoms_of_set(sigma: CISet, n: int) -> int:
     _check_atom_cap(n)
-    out = VarSet(0)
+    out = 0
     for t in sigma:
         out |= atoms_of(t, n)
     return out
@@ -371,8 +378,8 @@ class AtomMeasure:
     def is_positive(self, tol=0) -> bool:
         return all(v >= -tol for v in self.mass[1:])
 
-    def total_on(self, atoms: VarSet):
-        return sum(self.mass[s] for s in atoms)
+    def total_on(self, atoms: int):
+        return sum(self.mass[s] for s in members(atoms))
 
 
 def measure_from_table(table: PolymatroidTable) -> AtomMeasure:

@@ -142,7 +142,7 @@ def test_criterion_4_parity_construction_exact():
         assert table.cmi(tau) == 1, (tau, trial)
         s = tau.mentioned
         for sigma in all_canonical_triples(n):
-            covers = s.issubset(sigma.mentioned)
+            covers = not s & ~sigma.mentioned
             if not covers:
                 assert table.cmi(sigma) == 0, (tau, sigma)
             elif not sigma.x & s or not sigma.y & s:

@@ -237,6 +237,15 @@ class TestClosure:
         assert "I(A;B,C)" in lines
         assert run(["closure", "--sigma", sec_sigma]) == (code, out, "")
 
+    def test_listing_sorts_each_side_by_its_index_tuple(self, tmp_path):
+        # by mask value, I(a;b,c) (mask 6) would come after I(a;c) (mask 4)
+        sigma = tmp_path / "s.ci"
+        sigma.write_text("I(a;b,c)\n")
+        code, out, _ = run(["closure", "--sigma", str(sigma)])
+        assert code == 0 and out.splitlines() == [
+            "closure size=5", "I(a;b)", "I(a;b|c)", "I(a;b,c)", "I(a;c)", "I(a;c|b)",
+        ]
+
     def test_cap(self, tmp_path):
         sigma = tmp_path / "big.ci"
         sigma.write_text("I(a;b|c,d,e,f)\n")
@@ -485,6 +494,12 @@ class TestEntropyCommand:
         dist.write_text("vars a:2\n0 nan\n1 0.5\n")
         code, out, err = run(["entropy", "--dist", str(dist), "--term", "H(a)"])
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_header_word_other_than_vars_exits_2(self, tmp_path):
+        dist = tmp_path / "varsity.dist"
+        dist.write_text("varsity a:2\n0 1/2\n1 1/2\n")
+        code, out, err = run(["entropy", "--dist", str(dist), "--term", "H(a)"])
+        assert (code, out) == (2, "") and "'vars name:card ...' header" in err
 
     def test_duplicate_set_exits_2(self, tmp_path):
         table = tmp_path / "dup.tab"

@@ -10,7 +10,6 @@ from cirelax import (
     CITriple,
     ParseError,
     Universe,
-    VarSet,
     elemental_decompose,
     entropic_table,
     parse_ci_lines,
@@ -18,43 +17,34 @@ from cirelax import (
     random_distribution,
 )
 
-from cirelax.core import submasks
+from cirelax.core import members, submasks
 
-from helpers import random_triple
+from helpers import mask, random_triple
 
 U3 = Universe(("A", "B", "C"))
 
 
-class TestVarSet:
-    def test_algebra(self):
-        a = VarSet.of(0, 2)
-        b = VarSet.of(1, 2)
-        assert (a | b).bits == 0b111
-        assert (a & b).bits == 0b100
-        assert (a - b).bits == 0b001
-        assert list(a) == [0, 2]
-        assert len(a) == 2
-        assert 2 in a and 1 not in a
+class TestMasks:
+    def test_members_against_brute_force(self):
+        for m in range(1 << 9):
+            assert list(members(m)) == [i for i in range(9) if m >> i & 1]
+        assert list(members(1 << 23 | 1)) == [0, 23]
 
     def test_submasks_against_brute_force(self):
-        for mask in range(1 << 8):
-            brute = [s for s in range(mask + 1) if s & ~mask == 0]
-            assert list(submasks(mask)) == brute
+        for m in range(1 << 8):
+            brute = [s for s in range(m + 1) if s & ~m == 0]
+            assert list(submasks(m)) == brute
 
-    def test_ordering_key(self):
-        # {A,C} sorts before {B}: the smaller first index wins
-        assert VarSet.of(0, 2).sort_key() < VarSet.of(1).sort_key()
-
-    def test_empty(self):
-        assert not VarSet()
-        with pytest.raises(CIError):
-            VarSet().min()
+    def test_set_of_and_render_vars_round_trip(self):
+        assert U3.set_of("C", "A", "A") == 0b101
+        assert U3.set_of() == 0
+        assert U3.render_vars(0b101) == "A,C"
 
 
 class TestParsing:
     def test_basic(self):
         t = parse_ci_triple("I(A;B|C)", U3)
-        assert t == CITriple(VarSet.of(0), VarSet.of(1), VarSet.of(2))
+        assert t == CITriple(mask(0), mask(1), mask(2))
 
     def test_symmetry_canonicalization(self):
         assert parse_ci_triple("I(B;A|C)", U3) == parse_ci_triple("I(A;B|C)", U3)
@@ -80,7 +70,7 @@ class TestParsing:
 
     def test_multi_variable_sides(self):
         t = parse_ci_triple("I(A , B ; C)", U3)
-        assert t.x == VarSet.of(0, 1) and t.y == VarSet.of(2)
+        assert t.x == mask(0, 1) and t.y == mask(2)
 
     def test_ci_lines_infer_universe(self):
         sigma, universe = parse_ci_lines(
@@ -103,13 +93,30 @@ class TestCITriple:
                 parts = [0, 0, 0, 0]
                 for v in range(n):
                     parts[labels >> 2 * v & 3] |= 1 << v
-                x, y, z = (VarSet(b) for b in parts[:3])
+                x, y, z = parts[:3]
                 if not x or not y:
                     continue
                 t = CITriple(x, y, z)
                 assert t == CITriple(y, x, z) and t.z == z
                 assert {t.x, t.y} == {x, y}
-                assert t.x.sort_key() < t.y.sort_key()
+                assert tuple(members(t.x)) < tuple(members(t.y))
+
+    def test_rejects_empty_and_negative_sides(self):
+        # a negative mask passes a plain disjointness test: -4 & 2 == 0
+        for x, y, z in ((0, 1, 0), (1, 0, 0), (-4, 2, 0), (2, -4, 0), (1, 2, -8)):
+            with pytest.raises(CIError):
+                CITriple(x, y, z)
+
+    def test_rejects_overlapping_sides(self):
+        for x, y, z in ((0b011, 0b110, 0), (0b001, 0b010, 0b001), (0b001, 0b010, 0b010)):
+            with pytest.raises(CIError, match="pairwise disjoint"):
+                CITriple(x, y, z)
+
+    def test_mentioned_is_the_union_of_the_sides(self):
+        t = CITriple(0b0100, 0b0001, 0b1000)
+        assert (t.x, t.y, t.mentioned) == (0b0001, 0b0100, 0b1101)
+        assert repr(t) == "(0;2|3)"
+        assert CISet((t, CITriple(0b10000, 0b1))).mentioned == 0b11101
 
 
 class TestCISet:
@@ -143,8 +150,8 @@ class TestElementalDecompose:
         for _ in range(50):
             t = random_triple(5, rng)
             parts = elemental_decompose(t)
-            assert len(parts) == len(t.x) * len(t.y)
-            assert all(len(p.x) == 1 and len(p.y) == 1 for p in parts)
+            assert len(parts) == t.x.bit_count() * t.y.bit_count()
+            assert all(p.x.bit_count() == 1 and p.y.bit_count() == 1 for p in parts)
 
     def test_parts_sum_to_whole_on_random_tables(self):
         # chain-rule identity, checked on 50 random distributions

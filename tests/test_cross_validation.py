@@ -12,7 +12,6 @@ from cirelax import (
     CISet,
     CITriple,
     UNBOUNDED,
-    VarSet,
     check_marginal,
     check_recursive,
     optimal_lambda,
@@ -22,6 +21,7 @@ from cirelax import (
 from helpers import (
     all_canonical_triples,
     all_dags,
+    mask,
     polymatroid_by_definition,
     random_dag,
     random_marginal_set,
@@ -153,13 +153,13 @@ class TestNegativeVerdictsAlwaysCertify:
             n = rng.randrange(6, 9)
             dag = random_dag(n, rng, edge_prob=0.4)
             vs = rng.sample(range(n), 2 + rng.randrange(4))
-            tau = CITriple(VarSet.of(vs[0]), VarSet.of(vs[1]), VarSet.of(*vs[2:]))
+            tau = CITriple(mask(vs[0]), mask(vs[1]), mask(*vs[2:]))
             cert = check_recursive(dag, tau)
             if cert.implied:
                 continue
             trail = cert.refutation_trail
             collider = any(
-                trail[i - 1] in dag.parents[v] and trail[i + 1] in dag.parents[v]
+                dag.parents[v] >> trail[i - 1] & 1 and dag.parents[v] >> trail[i + 1] & 1
                 for i, v in enumerate(trail[1:-1], start=1)
             )
             key = "collider" if collider else "no collider"

@@ -10,7 +10,6 @@ from cirelax import (
     CISet,
     Dag,
     ParseError,
-    VarSet,
     active_trail,
     d_separated,
     entropic_table,
@@ -24,6 +23,7 @@ from helpers import (
     all_canonical_triples,
     all_dags,
     elemental_queries,
+    mask,
     path_d_separated,
     random_dag,
 )
@@ -50,19 +50,26 @@ class TestDagBasics:
         dag = Dag.from_edges(("a", "b", "c", "d"), [("c", "a"), ("c", "b")])
         assert dag.topological_order() == (2, 0, 1, 3)
 
+    def test_parent_masks_checked(self):
+        # a negative mask has bits above every node, as -1 >> n == -1
+        for parents in ((0, -1), (0, 0b100), (0b01, 0)):
+            with pytest.raises(CIError):
+                Dag(("a", "b"), parents)
+        assert Dag(("a", "b"), (0, 0b01)).edges() == [(0, 1)]
+
     def test_parse_roundtrip(self):
         text = "# demo\nvar X1\nvar X2\nvar X3\nedge X1 X2\nedge X2 X3\n"
         dag = parse_dag(text.splitlines())
         assert dag == chain3()
 
     def test_names_checked_at_construction(self):
-        no_parents = (VarSet(0), VarSet(0))
+        no_parents = (0, 0)
         with pytest.raises(ParseError, match="duplicate"):
             Dag(("a", "a"), no_parents)
         with pytest.raises(ParseError, match="invalid"):
             Dag(("a b", "c"), no_parents)
         with pytest.raises(CapExceeded):
-            Dag(tuple(f"v{i}" for i in range(25)), (VarSet(0),) * 25)
+            Dag(tuple(f"v{i}" for i in range(25)), (0,) * 25)
         dag = chain3()
         assert dag.universe is dag.universe and dag.universe.names == dag.names
 
@@ -111,11 +118,10 @@ class TestRecursiveBasis:
             for t in recursive_basis(dag):
                 matched = False
                 for side in (t.x, t.y):
-                    if len(side) != 1:
+                    if side.bit_count() != 1:
                         continue
-                    v = side.min()
-                    earlier = VarSet.of(*order[: pos[v]])
-                    if (t.mentioned - side).bits == earlier.bits:
+                    v = side.bit_length() - 1
+                    if t.mentioned & ~side == mask(*order[: pos[v]]):
                         matched = True
                 assert matched, t
 
@@ -123,17 +129,17 @@ class TestRecursiveBasis:
 class TestDSeparation:
     def test_chain_blocked(self):
         dag = chain3()
-        assert d_separated(dag, VarSet.of(0), VarSet.of(2), VarSet.of(1))
-        assert not d_separated(dag, VarSet.of(0), VarSet.of(2), VarSet())
+        assert d_separated(dag, mask(0), mask(2), mask(1))
+        assert not d_separated(dag, mask(0), mask(2), 0)
 
     def test_collider_activation(self):
         dag = collider3()
-        assert d_separated(dag, VarSet.of(0), VarSet.of(1), VarSet())
-        assert not d_separated(dag, VarSet.of(0), VarSet.of(1), VarSet.of(2))
+        assert d_separated(dag, mask(0), mask(1), 0)
+        assert not d_separated(dag, mask(0), mask(1), mask(2))
 
     def test_overlap_rejected(self):
         with pytest.raises(CIError):
-            d_separated(chain3(), VarSet.of(0), VarSet.of(0), VarSet())
+            d_separated(chain3(), mask(0), mask(0), 0)
 
     def test_symmetry(self):
         rng = random.Random(9)
@@ -163,20 +169,20 @@ class TestDSeparation:
         dag = Dag.from_edges(
             ("a", "b", "c", "d"), [("a", "b"), ("b", "c"), ("b", "d")]
         )
-        assert d_separated(dag, VarSet.of(0), VarSet.of(2, 3), VarSet.of(1))
+        assert d_separated(dag, mask(0), mask(2, 3), mask(1))
 
 
 class TestActiveTrail:
     def test_collider_and_chain(self):
-        assert active_trail(collider3(), VarSet.of(0), VarSet.of(1), VarSet.of(2)) == (0, 2, 1)
-        assert active_trail(collider3(), VarSet.of(0), VarSet.of(1), VarSet()) is None
-        assert active_trail(chain3(), VarSet.of(2), VarSet.of(0), VarSet()) == (2, 1, 0)
+        assert active_trail(collider3(), mask(0), mask(1), mask(2)) == (0, 2, 1)
+        assert active_trail(collider3(), mask(0), mask(1), 0) is None
+        assert active_trail(chain3(), mask(2), mask(0), 0) == (2, 1, 0)
 
     def test_descendant_of_z_opens_the_collider(self):
         dag = Dag.from_edges(
             ("a", "b", "c", "d"), [("a", "c"), ("b", "c"), ("c", "d")]
         )
-        assert active_trail(dag, VarSet.of(0), VarSet.of(1), VarSet.of(3)) == (0, 2, 1)
+        assert active_trail(dag, mask(0), mask(1), mask(3)) == (0, 2, 1)
 
     def test_shape_exhaustive_n4(self):
         """A simple path from x to y along DAG edges whose non-colliders
@@ -188,20 +194,20 @@ class TestActiveTrail:
                 trail = active_trail(dag, t.x, t.y, t.z)
                 if trail is None:
                     continue
-                assert trail[0] in t.x and trail[-1] in t.y
+                assert t.x >> trail[0] & 1 and t.y >> trail[-1] & 1
                 assert len(set(trail)) == len(trail)
                 ancestors = dag.ancestral_closure(t.z)
                 for i, v in enumerate(trail):
                     into = [
-                        w in dag.parents[v]
+                        dag.parents[v] >> w & 1
                         for w in trail[max(i - 1, 0):i] + trail[i + 1:i + 2]
                     ]
                     for w in trail[i + 1:i + 2]:
-                        assert w in dag.parents[v] or v in dag.parents[w]
-                    if into == [True, True]:
-                        assert v in ancestors
+                        assert dag.parents[v] >> w & 1 or dag.parents[w] >> v & 1
+                    if into == [1, 1]:
+                        assert ancestors >> v & 1
                     else:
-                        assert v not in t.z
+                        assert not t.z >> v & 1
 
 
 class TestSeparationImpliesAtomCoverage:

@@ -15,7 +15,6 @@ from cirelax import (
     Dag,
     PolymatroidTable,
     Universe,
-    VarSet,
     active_trail,
     check_marginal,
     check_recursive,
@@ -32,7 +31,7 @@ from cirelax import (
     validate_bound,
 )
 from cirelax import implication
-from cirelax.core import collect_names
+from cirelax.core import collect_names, members
 from cirelax.distributions import linear_distribution
 from cirelax.implication import _verify_refutation
 from cirelax.polymatroids import LinearRanks, linear_rank_table
@@ -388,12 +387,12 @@ class TestParityRefutationSearch:
             return all(table.cmi(t) == 0 for t in sigma)
 
         def brute(sigma, tau, n):
-            for a in tau.x:
-                for b in tau.y:
-                    pool = tau.mentioned.bits & ~(1 << a | 1 << b)
+            for a in members(tau.x):
+                for b in members(tau.y):
+                    pool = tau.mentioned & ~(1 << a | 1 << b)
                     for ext in range(1 << n):
                         if ext & ~pool == 0 and parity_kills(1 << a | 1 << b | ext, sigma, n):
-                            return CITriple(VarSet.of(a), VarSet.of(b), VarSet(ext))
+                            return CITriple(1 << a, 1 << b, ext)
             return None
 
         rng = random.Random(2024)
@@ -432,7 +431,7 @@ class TestSemigraphoidClosure:
 class TestTightnessFamily:
     def test_n2(self):
         sigma, tau = tightness_family(2)
-        assert list(sigma) == [tau] and tau == CITriple(VarSet.of(0), VarSet.of(1))
+        assert list(sigma) == [tau] and tau == CITriple(0b01, 0b10)
 
     def test_rejects_n1(self):
         with pytest.raises(CIError):

@@ -13,7 +13,6 @@ from cirelax import (
     LinearFunctional,
     UNBOUNDED,
     Universe,
-    VarSet,
     check_recursive,
     elemental_inequalities,
     implies_positive,
@@ -25,6 +24,7 @@ from cirelax import (
     tightness_family,
     validate_bound,
 )
+from cirelax.core import members
 
 from helpers import (
     all_dags,
@@ -71,7 +71,7 @@ class TestElementalInequalities:
             for j in range(i + 1, n):
                 for k in range(1 << n):
                     if not k >> i & 1 and not k >> j & 1:
-                        t = CITriple(VarSet.of(i), VarSet.of(j), VarSet(k))
+                        t = CITriple(1 << i, 1 << j, k)
                         expected.append(LinearFunctional.cmi(t))
         assert elemental_inequalities(n) == tuple(expected)
 
@@ -110,8 +110,8 @@ class TestElementalInequalities:
                     )
                 ]
                 grown = a_mask
-                for j in sorted(VarSet(rest)):
-                    t = CITriple(VarSet.of(i), VarSet.of(j), VarSet(grown))
+                for j in members(rest):
+                    t = CITriple(1 << i, 1 << j, grown)
                     parts.append(LinearFunctional.cmi(t))
                     grown |= 1 << j
                 total = {}
@@ -128,8 +128,8 @@ class TestElementalInequalities:
         rows = set(elemental_inequalities(n))
         for a_mask in range(1 << n):
             for b_mask in range(1 << n):
-                xs = VarSet(a_mask & ~b_mask)
-                ys = VarSet(b_mask & ~a_mask)
+                xs = a_mask & ~b_mask
+                ys = b_mask & ~a_mask
                 if not xs or not ys:
                     continue  # the inequality is the trivial identity
                 target = LinearFunctional.from_dict(
@@ -140,7 +140,7 @@ class TestElementalInequalities:
                         a_mask & b_mask: Fraction(-1),
                     }
                 )
-                t = CITriple(xs, ys, VarSet(a_mask & b_mask))
+                t = CITriple(xs, ys, a_mask & b_mask)
                 total = {}
                 for part in elemental_decompose(t):
                     f = LinearFunctional.cmi(part)

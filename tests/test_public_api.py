@@ -20,10 +20,12 @@ DELETED = (
     ("cirelax", "read_ci_file"),
     ("cirelax", "reduce_antecedents"),
     ("cirelax", "single_atom_polymatroid"),
+    ("cirelax", "VarSet"),
     ("cirelax.atoms", "polymatroid_from_atoms"),
     ("cirelax.atoms", "reduce_antecedents"),
     ("cirelax.core", "classify"),
     ("cirelax.core", "read_ci_file"),
+    ("cirelax.core", "VarSet"),
     ("cirelax.distributions", "atom_measure"),
 )
 
@@ -55,5 +57,7 @@ def test_deleted_members_are_gone():
 
     assert not hasattr(cirelax.Universe(("a",)), "full")
     assert not hasattr(AtomMeasure(1, (0, 1)), "exact")
+    coin = cirelax.JointDistribution((2,), (1, 0))
+    assert not hasattr(coin, "outcome") and not hasattr(coin, "strides")
     fields = {f.name for f in dataclasses.fields(cirelax.ValidationReport)}
     assert "tolerance" not in fields
